@@ -41,7 +41,6 @@ from .simulate import (
     SimCounts,
     chi_square_threshold,
     gof_compare,
-    sample_offspring,
     simulate_total_progeny,
 )
 from .special import (
@@ -49,16 +48,12 @@ from .special import (
     EvalResult,
     HypParams,
     Method,
-    bessel_i0,
-    bessel_i1,
     bessel_i1_scaled,
     gauss_point,
-    hyp1f0,
     hyp2f1_half_one,
     hyp2f1_ladder,
     hyp2f1_large_k,
     hyp2f1_series,
-    pochhammer,
 )
 from .sums import (
     ClosedFormArgument,

@@ -9,16 +9,16 @@ circular.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureFailure, RootFindFailure
 from .special import (
-    Method,
     _g_seed,
+    _ladder,
     bessel_i1_scaled,
     hyp2f1_half_one,
-    hyp2f1_ladder,
 )
 
 __all__ = [
@@ -148,15 +148,18 @@ def _ladder_log(c, x, k):
         if g == 0.0:
             return -math.inf, 1.0
         return math.log(abs(g)), (1.0 if g > 0.0 else -1.0)
-    logs, signs = hyp2f1_ladder(c, x, k)
-    return logs[k], signs[k]
+    return next(islice(_ladder(c, x), k, None))
+
+
+def _positive_int(n, name):
+    if n < 1 or n != int(n):
+        raise DomainError("%s must be a positive integer" % name)
+    return int(n)
 
 
 def progeny_pmf(law, ell):
     """P(total progeny = ell) = 2^-ell (1-Q)^(ell-1) G_(ell-1)(2; Q)."""
-    if ell < 1 or ell != int(ell):
-        raise DomainError("ell must be a positive integer")
-    ell = int(ell)
+    ell = _positive_int(ell, "ell")
     lg, sg = _ladder_log(2.0, law.Q, ell - 1)
     lp = -ell * math.log(2.0) + (ell - 1) * 2.0 * math.log(law.lam) + lg
     return sg * math.exp(lp)
@@ -164,15 +167,10 @@ def progeny_pmf(law, ell):
 
 def progeny_pmf_range(law, lmax):
     """P(total progeny = ell) for ell = 1..lmax, one ladder sweep."""
-    if lmax < 1:
-        raise DomainError("lmax must be >= 1")
-    logs, signs = hyp2f1_ladder(2.0, law.Q, lmax - 1)
+    lmax = _positive_int(lmax, "lmax")
     llam2 = 2.0 * math.log(law.lam)
-    out = []
-    for ell in range(1, lmax + 1):
-        lp = -ell * math.log(2.0) + (ell - 1) * llam2 + logs[ell - 1]
-        out.append(signs[ell - 1] * math.exp(lp))
-    return out
+    return [sg * math.exp(-ell * math.log(2.0) + (ell - 1) * llam2 + lg)
+            for ell, (lg, sg) in zip(range(1, lmax + 1), _ladder(2.0, law.Q))]
 
 
 def progeny_pgf_elementary(law, z):
@@ -225,9 +223,7 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
     (ell-1)! is folded into the exponent. Upper limit is set where the
     log-integrand falls 40 below its peak.
     """
-    if ell < 1 or ell != int(ell):
-        raise DomainError("ell must be a positive integer")
-    ell = int(ell)
+    ell = _positive_int(ell, "ell")
     gamma = 2.0 / (law.lam * law.lam)
     beta = gamma * math.sqrt(law.Q)
     decay = gamma - beta
@@ -315,9 +311,7 @@ class GeneralProgenyLaw:
 
 
 def general_progeny_log_pmf(law, ell):
-    if ell < 1 or ell != int(ell):
-        raise DomainError("ell must be a positive integer")
-    ell = int(ell)
+    ell = _positive_int(ell, "ell")
     lg, sg = _ladder_log(law.c, law.x, ell - 1)
     if sg < 0.0:
         raise DomainError("negative mass at ell = %d (invalid parameters)" % ell)
@@ -332,17 +326,11 @@ def general_progeny_pmf(law, ell):
 
 def general_progeny_pmf_range(law, lmax):
     """q_ell for ell = 1..lmax from a single ladder sweep."""
-    if lmax < 1:
-        raise DomainError("lmax must be >= 1")
-    logs, signs = hyp2f1_ladder(law.c, law.x, lmax - 1)
-    rx = math.sqrt(law.x)
+    lmax = _positive_int(lmax, "lmax")
     lpref = math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
-    l1mrx = math.log1p(-rx)
-    out = []
-    for ell in range(1, lmax + 1):
-        lp = lpref + (ell - 1) * l1mrx + logs[ell - 1]
-        out.append(signs[ell - 1] * math.exp(lp))
-    return out
+    l1mrx = math.log1p(-math.sqrt(law.x))
+    return [sg * math.exp(lpref + (ell - 1) * l1mrx + lg)
+            for ell, (lg, sg) in zip(range(1, lmax + 1), _ladder(law.c, law.x))]
 
 
 @dataclass(frozen=True)

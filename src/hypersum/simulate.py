@@ -24,7 +24,6 @@ __all__ = [
     "SimCounts",
     "GofReport",
     "DualOffspringSampler",
-    "sample_offspring",
     "simulate_total_progeny",
     "gof_compare",
     "chi_square_threshold",
@@ -103,11 +102,6 @@ class DualOffspringSampler:
             for j in np.nonzero(hit)[0]:
                 idx[j] = self.sample(float(us[j]))
         return idx
-
-
-def sample_offspring(sampler, rng):
-    """One draw from the dual offspring law."""
-    return int(sampler.sample(rng.random()))
 
 
 def _replicate_stream(seed, index):

@@ -1,6 +1,6 @@
 """Special-function kernel: Gauss hypergeometric evaluation, gamma-family
-helpers, modified Bessel functions, and large-parameter asymptotic
-approximants.
+helpers, the streaming k-ladder, the scaled modified Bessel function I_1,
+and large-parameter asymptotic approximants.
 
 Everything here is a pure function of its arguments; no global mutable state.
 """
@@ -9,6 +9,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import DomainError, NonConvergent
 
@@ -22,16 +23,11 @@ __all__ = [
     "default_max_terms",
     "log_abs_gamma",
     "gamma_sign",
-    "gamma_fn",
-    "pochhammer",
     "hyp2f1_series",
     "hyp2f1_half_one",
     "gauss_point",
-    "hyp1f0",
     "hyp2f1_large_k",
     "hyp2f1_ladder",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_i1_scaled",
 ]
 
@@ -127,55 +123,6 @@ def gamma_sign(x):
         return 1.0
     # Gamma alternates sign between consecutive negative integers.
     return -1.0 if math.floor(x) % 2 else 1.0
-
-
-def gamma_fn(x):
-    """Gamma(x) from log-gamma; overflows to signed infinity."""
-    lg = log_abs_gamma(x)
-    s = gamma_sign(x)
-    try:
-        return s * math.exp(lg)
-    except OverflowError:
-        return s * math.inf
-
-
-def pochhammer(a, k):
-    """Rising factorial (a)_k.
-
-    Small k uses the direct product; large k goes through log-gamma
-    differences with explicit sign tracking so half-integer arguments in the
-    hundreds do not overflow intermediate factors needlessly. A nonpositive
-    integer a inside the product range gives an exact zero. Overflow is
-    reported as a signed infinity.
-    """
-    if k < 0 or k != int(k):
-        raise DomainError("k must be a nonnegative integer")
-    k = int(k)
-    if k == 0:
-        return 1.0
-    if k <= 64:
-        out = 1.0
-        for j in range(k):
-            out *= a + j
-        return out
-    if a <= 0 and a == int(a):
-        # (a)_k hits the factor 0 once k exceeds |a|.
-        if k > -a:
-            return 0.0
-        out = 1.0
-        for j in range(k):
-            out *= a + j
-        return out
-    if a > 0:
-        lg = math.lgamma(a + k) - math.lgamma(a)
-        sign = 1.0
-    else:
-        sign = gamma_sign(a + k) * gamma_sign(a)
-        lg = log_abs_gamma(a + k) - log_abs_gamma(a)
-    try:
-        return sign * math.exp(lg)
-    except OverflowError:
-        return sign * math.inf
 
 
 def _series_sum(a, b, c, x, tol, max_terms):
@@ -348,13 +295,6 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
     return hyp2f1_series(HypParams(0.5, 1.0, c, chi), tol=tol, max_terms=cap)
 
 
-def hyp1f0(a, z):
-    """1F0(a;;z) = (1-z)^(-a) for z < 1."""
-    if z >= 1.0:
-        raise DomainError("require z < 1")
-    return (1.0 - z) ** (-a)
-
-
 def hyp2f1_large_k(k, c, x):
     """Leading-order approximant of 2F1(k/2+1/2, k/2+1; c; x) as k grows.
 
@@ -416,16 +356,62 @@ def _g_seed(k, c, x, tol=1e-17, max_terms=200_000):
     return v
 
 
-def _step_coeffs(a, b, c, x, D):
-    """Coefficients (A, B) of G_next = A*G_mid + B*G_prev along the diagonal
-    (a,b) -> (a+1,b+1) at fixed (c,x), with (a,b) the middle parameters and
-    D = x - 1. Exact contiguous-relation algebra; only pole is c - a - b = -1.
+def _step_coeffs(a, c, x):
+    """Coefficients (A, B) of G_next = A*G_mid + B*G_prev at fixed (c, x),
+    where G_prev, G_mid, G_next = 2F1(a+j, a+1/2+j; c; x) for j = -1, 0, 1.
+
+    The general contiguous relation with b = a + 1/2 substituted and
+    factored; the unfactored form cancels O(a^3) terms in floating point,
+    which made the ladder's error grow like k^2 eps for x > 0. Only pole is
+    4a = 2c + 1.
     """
-    Et = (-(b - 1.0) * (2.0 * a - c + (b - a) * x) * (c - b)
-          - (a - 1.0) * (c - a - b) * (c - a)) / (b - a)
-    B = -(c - a - b - 1.0) * (c - a) * (c - b) / (a * b * D * D * (c - a - b + 1.0))
-    A = (-(c - a - 1.0) + (c - a - b - 1.0) * Et / (a * D * (c - a - b + 1.0))) / (b * D)
+    den = a * (2.0 * a + 1.0) * (1.0 - x) ** 2 * (4.0 * a - 2.0 * c - 1.0)
+    A = ((4.0 * a - 2.0 * c + 1.0)
+         * (4.0 * a * (1.0 + x) * (2.0 * a - 2.0 * c + 1.0) + (2.0 * c - 3.0) * (2.0 * c + x))
+         / (2.0 * den))
+    B = (c - a) * (2.0 * a - 2.0 * c + 1.0) * (4.0 * a - 2.0 * c + 3.0) / den
     return A, B
+
+
+def _log_sign(v, off=0.0):
+    """(log|v| + off, sign of v), with log 0 = -inf and sign(0) = +1."""
+    return (math.log(abs(v)) + off if v != 0.0 else -math.inf), (1.0 if v >= 0.0 else -1.0)
+
+
+def _ladder(c, x):
+    """Yield (log|G_k|, sign) for k = 0, 1, 2, ... without end.
+
+    Series seeds up to k = m+1, then the forward recurrence with stride 2,
+    one chain per parity. Each chain is rescaled by a power of two whenever
+    its newest value leaves [1e-250, 1e250]; the exponent goes into the
+    chain's log offset, so no k can overflow. No validation: callers check
+    c > 0 and -1 <= x < 1.
+    """
+    # Seed depth: keeps every middle index strictly above the lone
+    # coefficient pole at k = c - 1/2.
+    m = max(4, math.ceil(c + 1.5) + 1)
+    seeds = []
+    for k in range(m + 2):
+        seeds.append(_g_seed(k, c, x))
+        yield _log_sign(seeds[-1])
+    # chains[k % 2] = [G_(k-2), G_(k-4), log offset] for the next k of that parity.
+    chains = [None, None]
+    for j in (m, m + 1):
+        chains[j % 2] = [seeds[j], seeds[j - 2], 0.0]
+    for k in count(m + 2):
+        chain = chains[k % 2]
+        f0, fm, off = chain
+        A, B = _step_coeffs((k - 1) / 2.0, c, x)
+        fp = A * f0 + B * fm
+        mag = abs(fp)
+        if mag > _LOG_RESCALE or 0.0 < mag < 1.0 / _LOG_RESCALE:
+            e = math.frexp(mag)[1]
+            sc = math.ldexp(1.0, -e)
+            fp *= sc
+            f0 *= sc
+            off += e * _LN2
+        chain[:] = fp, f0, off
+        yield _log_sign(fp, off)
 
 
 def hyp2f1_ladder(c, x, kmax):
@@ -448,10 +434,13 @@ def hyp2f1_ladder(c, x, kmax):
     Notes
     -----
     Forward three-term recurrence in k with stride 2 (one chain per parity),
-    seeded by series values at small k. For 0 < x < 1 the wanted solution
+    seeded by series values at small k; one pass of the generator that every
+    other ladder consumer reads. For 0 < x < 1 the wanted solution
     dominates, so the forward direction is self-correcting; for x < 0 the two
-    solutions share one modulus and errors grow only linearly in k. Validated
-    against a 50-digit reference to ~5e-11 envelope-relative error at k=1e4.
+    solutions share one modulus and errors grow only linearly in k. Against
+    a 60-digit run of the same recurrence, up to k = 1e4: max |log error|
+    1.8e-12 at (c, x) = (2.5, 0.49) and 9.1e-13 at (1.2, 0.01); 6e-14
+    envelope-relative at (2, -0.8). At k = 4e4, (0.667, 2.18e-5): 1.5e-10.
     Values are rescaled by powers of two whenever they leave [1e-250, 1e250],
     so arbitrarily large k cannot overflow.
     """
@@ -461,60 +450,28 @@ def hyp2f1_ladder(c, x, kmax):
         raise DomainError("ladder requires -1 <= x < 1")
     if kmax < 0 or kmax != int(kmax):
         raise DomainError("kmax must be a nonnegative integer")
-    kmax = int(kmax)
-    # Seed depth: keeps every middle index strictly above the lone
-    # coefficient pole at k = c - 1/2.
-    m = max(4, math.ceil(c + 1.5) + 1)
-    top = min(m + 1, kmax)
-    seeds = [_g_seed(k, c, x) for k in range(top + 1)]
-    logs = [math.log(abs(v)) if v != 0.0 else -math.inf for v in seeds]
-    signs = [1.0 if v >= 0.0 else -1.0 for v in seeds]
-    if kmax <= m + 1:
-        return logs, signs
-    D = x - 1.0
-    state = {}
-    for par in (0, 1):
-        idx = [k for k in range(m + 2) if k % 2 == par]
-        state[par] = [idx[-1], seeds[idx[-1]], seeds[idx[-2]], 0.0]
-    for k in range(m + 2, kmax + 1):
-        par = k % 2
-        j, f0, fm, off = state[par]
-        a = (j + 1) / 2.0
-        A, B = _step_coeffs(a, a + 0.5, c, x, D)
-        fp = A * f0 + B * fm
-        mag = abs(fp)
-        if mag > _LOG_RESCALE or 0.0 < mag < 1.0 / _LOG_RESCALE:
-            e = math.frexp(mag)[1]
-            sc = math.ldexp(1.0, -e)
-            fp *= sc
-            f0 *= sc
-            off += e * _LN2
-        state[par] = [k, fp, f0, off]
-        logs.append((math.log(abs(fp)) + off) if fp != 0.0 else -math.inf)
-        signs.append(1.0 if fp >= 0.0 else -1.0)
+    logs = []
+    signs = []
+    for lg, sg in islice(_ladder(c, x), int(kmax) + 1):
+        logs.append(lg)
+        signs.append(sg)
     return logs, signs
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions of the first kind, orders 0 and 1.
+# Modified Bessel function of the first kind, order 1, exponentially scaled.
 
 _BESSEL_SERIES_CUT = 20.0
 
 
-def _i_series(z, order):
-    """Ascending series of I_order(z), order in {0, 1}."""
+def _i_series(z):
+    """Ascending series of I_1(z)."""
     h = 0.5 * z
-    if order == 0:
-        term = 1.0
-    else:
-        term = h
+    term = h
     out = term
     m = 0
     while True:
-        if order == 0:
-            term *= h * h / ((m + 1.0) * (m + 1.0))
-        else:
-            term *= h * h / ((m + 1.0) * (m + 2.0))
+        term *= h * h / ((m + 1.0) * (m + 2.0))
         out += term
         m += 1
         if term <= 1e-17 * out or m > 500:
@@ -522,9 +479,9 @@ def _i_series(z, order):
     return out
 
 
-def _i_asym_scaled(z, order):
-    """e^{-z} I_order(z) by the large-argument expansion (z > 20)."""
-    mu = 4.0 * order * order
+def _i_asym_scaled(z):
+    """e^{-z} I_1(z) by the large-argument expansion (z > 20)."""
+    mu = 4.0
     term = 1.0
     out = 1.0
     prev = abs(term)
@@ -541,34 +498,10 @@ def _i_asym_scaled(z, order):
     return out / math.sqrt(2.0 * math.pi * z)
 
 
-def bessel_i0(z):
-    """Modified Bessel I_0(z) for z >= 0."""
-    if z < 0:
-        raise DomainError("require z >= 0")
-    if z <= _BESSEL_SERIES_CUT:
-        return _i_series(z, 0)
-    try:
-        return _i_asym_scaled(z, 0) * math.exp(z)
-    except OverflowError:
-        return math.inf
-
-
-def bessel_i1(z):
-    """Modified Bessel I_1(z) for z >= 0; overflows to +inf."""
-    if z < 0:
-        raise DomainError("require z >= 0")
-    if z <= _BESSEL_SERIES_CUT:
-        return _i_series(z, 1)
-    try:
-        return _i_asym_scaled(z, 1) * math.exp(z)
-    except OverflowError:
-        return math.inf
-
-
 def bessel_i1_scaled(z):
     """e^{-z} I_1(z), safe for arbitrarily large z."""
     if z < 0:
         raise DomainError("require z >= 0")
     if z <= _BESSEL_SERIES_CUT:
-        return _i_series(z, 1) * math.exp(-z)
-    return _i_asym_scaled(z, 1)
+        return _i_series(z) * math.exp(-z)
+    return _i_asym_scaled(z)

@@ -3,10 +3,11 @@ closed forms, special cases, and the geometric-weight variant sum.
 
 S(eta, c; x) = sum_{k>=0} ((1-x)/(1+eta))^k * 2F1(k/2+1/2, k/2+1; c; x).
 
-Direct summation streams the inner functions from the stride-2 recurrence
-ladder in log space; the closed form routes through 2F1(1/2, 1; c; xi) with
-xi = x/X^2, X = (x+eta)/(1+eta). The two paths share no evaluation code, so
-they can check each other.
+Direct summation (and the direct variant sum) reads the inner functions
+from special._ladder, the one streaming stride-2 recurrence ladder in log
+space; the closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
+X = (x+eta)/(1+eta). The two paths share no evaluation code, so they can
+check each other.
 """
 
 import enum
@@ -18,10 +19,7 @@ from .special import (
     DEFAULT_TOL,
     EvalResult,
     Method,
-    _step_coeffs,
-    _g_seed,
-    _LOG_RESCALE,
-    _LN2,
+    _ladder,
     default_max_terms,
     gauss_point,
     hyp2f1_half_one,
@@ -76,7 +74,8 @@ class ClosedFormArgument:
     @classmethod
     def from_params(cls, p):
         X = (p.x + p.eta) / (1.0 + p.eta)
-        xi = p.x / (X * X) if X != 0.0 else math.copysign(math.inf, p.x)
+        # x / X / X, not x / (X*X): X*X underflows to 0 for eta near 1e-300.
+        xi = p.x / X / X if X != 0.0 else math.copysign(math.inf, p.x)
         if p.eta == 1.0:
             star = None
         else:
@@ -140,8 +139,9 @@ def _term_decay_ratio(p):
 def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     """S(eta, c; x) by term-wise summation.
 
-    The inner hypergeometric values come from the stride-2 recurrence ladder
-    (exact contiguous relation, log-scaled), so large k costs neither
+    The inner hypergeometric values are streamed from the stride-2
+    recurrence ladder special._ladder (exact contiguous relation,
+    log-scaled), one step per term, so large k costs neither
     overflow nor the accuracy of a truncated asymptotic. Terms are added
     until the absolute term stays below ``tol`` for three consecutive k.
 
@@ -173,37 +173,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     t = 0.0
     stopped = False
     k_stop = 0
-    # Stream the ladder instead of materializing it: same recurrence as
-    # special.hyp2f1_ladder, fused with the weight accumulation.
-    m = max(4, math.ceil(p.c + 1.5) + 1)
-    seeds = [_g_seed(k, p.c, p.x) for k in range(min(m + 1, max_terms) + 1)]
-    D = p.x - 1.0
-    state = {}
-    if len(seeds) >= m + 2:
-        for par in (0, 1):
-            idx = [k for k in range(m + 2) if k % 2 == par]
-            state[par] = [idx[-1], seeds[idx[-1]], seeds[idx[-2]], 0.0]
-    for k in range(max_terms + 1):
-        if k < len(seeds):
-            g = seeds[k]
-            lg = math.log(abs(g)) if g != 0.0 else -math.inf
-            sg = 1.0 if g >= 0.0 else -1.0
-        else:
-            par = k % 2
-            j, f0, fm, off = state[par]
-            a = (j + 1) / 2.0
-            A, B = _step_coeffs(a, a + 0.5, p.c, p.x, D)
-            fp = A * f0 + B * fm
-            mag = abs(fp)
-            if mag > _LOG_RESCALE or 0.0 < mag < 1.0 / _LOG_RESCALE:
-                e = math.frexp(mag)[1]
-                sc = math.ldexp(1.0, -e)
-                fp *= sc
-                f0 *= sc
-                off += e * _LN2
-            state[par] = [k, fp, f0, off]
-            lg = (math.log(abs(fp)) + off) if fp != 0.0 else -math.inf
-            sg = 1.0 if fp >= 0.0 else -1.0
+    for k, (lg, sg) in zip(range(max_terms + 1), _ladder(p.c, p.x)):
         lt = k * lw + lg
         if lt > 709.0:
             t = sg * math.inf
@@ -284,7 +254,7 @@ def sum_closed(p):
                               terms_used=0, method=Method.ClosedForm, continuation=True)
         raise DomainError(
             "x < -eta continuation is only available in elementary form (c in {1,2,3})")
-    xi = x / (X * X)
+    xi = x / X / X
     # x = eta^2 puts xi at 1 exactly in real arithmetic, but the float
     # quotient lands a couple ulp to either side; treat that as 1.
     if abs(xi - 1.0) <= 4e-16:
@@ -372,36 +342,8 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     lz = math.log(z)
     s = 0.0
     small = 0
-    m = max(4, math.ceil(c + 1.5) + 1)
-    seeds = [_g_seed(j, c, x) for j in range(m + 2)]
-    D = x - 1.0
-    state = {}
-    for par in (0, 1):
-        idx = [j for j in range(m + 2) if j % 2 == par]
-        state[par] = [idx[-1], seeds[idx[-1]], seeds[idx[-2]], 0.0]
-    t = 0.0
-    for k in range(1, max_terms + 1):
-        j = k - 1
-        if j < len(seeds):
-            g = seeds[j]
-            lg = math.log(abs(g)) if g != 0.0 else -math.inf
-            sg = 1.0 if g >= 0.0 else -1.0
-        else:
-            par = j % 2
-            i, f0, fm, off = state[par]
-            a = (i + 1) / 2.0
-            A, B = _step_coeffs(a, a + 0.5, c, x, D)
-            fp = A * f0 + B * fm
-            mag = abs(fp)
-            if mag > _LOG_RESCALE or 0.0 < mag < 1.0 / _LOG_RESCALE:
-                e = math.frexp(mag)[1]
-                sc = math.ldexp(1.0, -e)
-                fp *= sc
-                f0 *= sc
-                off += e * _LN2
-            state[par] = [j, fp, f0, off]
-            lg = (math.log(abs(fp)) + off) if fp != 0.0 else -math.inf
-            sg = 1.0 if fp >= 0.0 else -1.0
+    # The inner function at index k is the ladder value at k - 1.
+    for k, (lg, sg) in zip(range(1, max_terms + 1), _ladder(c, x)):
         lt = k * lz + lg
         t = sg * math.exp(lt) if lt > -745.0 else 0.0
         s += t

@@ -161,9 +161,11 @@ class TestProgenyHalfLaw:
         assert progeny_pmf(law, 200) == pytest.approx(6.9724166459182196102e-14, rel=1e-12)
 
     def test_range_matches_scalar(self):
+        # ell = 151 is the last point query taken by series, 152 the first
+        # read from the streaming ladder.
         law = ProgenyHalfLaw(0.45)
-        rng = progeny_pmf_range(law, 40)
-        for ell in (1, 2, 17, 40):
+        rng = progeny_pmf_range(law, 1000)
+        for ell in (1, 2, 17, 40, 151, 152, 1000):
             assert rng[ell - 1] == pytest.approx(progeny_pmf(law, ell), rel=1e-13)
 
     def test_bad_ell(self):
@@ -172,6 +174,9 @@ class TestProgenyHalfLaw:
             progeny_pmf(law, 0)
         with pytest.raises(DomainError):
             progeny_pmf(law, 3.5)
+        for lmax in (0, 2.5):
+            with pytest.raises(DomainError):
+                progeny_pmf_range(law, lmax)
 
     def test_near_certain_extinction_concentrates_at_one(self):
         # p_1 = 1/(1+lam); the rest of the mass is small but heavy-tailed.
@@ -291,8 +296,8 @@ class TestGeneralProgenyLaw:
 
     def test_range_matches_scalar(self):
         law = GeneralProgenyLaw(1.75, 0.49)
-        rng = general_progeny_pmf_range(law, 30)
-        for ell in (1, 13, 30):
+        rng = general_progeny_pmf_range(law, 1000)
+        for ell in (1, 13, 30, 151, 152, 1000):
             assert rng[ell - 1] == pytest.approx(general_progeny_pmf(law, ell), rel=1e-12)
 
     def test_mass_when_tail_is_negligible(self):
@@ -304,6 +309,9 @@ class TestGeneralProgenyLaw:
         law = GeneralProgenyLaw(2.5, 0.49)
         with pytest.raises(DomainError):
             general_progeny_pmf(law, 0)
+        for lmax in (0, 2.5):
+            with pytest.raises(DomainError):
+                general_progeny_pmf_range(law, lmax)
 
 
 class TestTiltedIdentity:

@@ -58,6 +58,19 @@ class TestSumCommand:
         assert rec["method"] == "auto"
         assert rec["continuation"] is False
 
+    def test_tiny_eta_at_x_zero(self):
+        proc = run_cli("sum", "--eta", "1e-300", "--c", "2", "--x", "0")
+        assert proc.returncode == 0
+        rec = json_lines(proc)[0]
+        assert rec["status"] == "ok"
+        assert rec["value"] == pytest.approx(1e300, rel=1e-13)
+        proc = run_cli("sum", "--eta", "1e-300", "--c", "2", "--x", "0", "--format", "csv")
+        assert proc.returncode == 0
+        header, row = proc.stdout.splitlines()
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert rec["status"] == "ok"
+        assert float(rec["value"]) == pytest.approx(1e300, rel=1e-13)
+
     def test_divergent_exits_2(self):
         proc = run_cli("sum", "--eta", "0.4", "--c", "2", "--x", "0.5")
         assert proc.returncode == 2

@@ -24,7 +24,6 @@ from hypersum.simulate import (
     SimCounts,
     chi_square_threshold,
     gof_compare,
-    sample_offspring,
     simulate_total_progeny,
 )
 from hypersum.simulate import _replicate_stream
@@ -99,11 +98,6 @@ class TestSampler:
         f1 = (ks == 1).sum() / n
         assert abs(f0 - 0.625) < 4 * math.sqrt(0.625 * 0.375 / n)
         assert abs(f1 - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
-
-    def test_sample_offspring_wrapper(self):
-        s = DualOffspringSampler(OFFSPRING)
-        rng = _replicate_stream(3, 5)
-        assert isinstance(sample_offspring(s, rng), int)
 
 
 class TestReproducibility:

@@ -178,6 +178,16 @@ class TestSumClosed:
             b = sum_direct(SumParams(eta, c, x)).value
             assert a == pytest.approx(b, rel=5e-12)
 
+    def test_tiny_eta_at_x_zero(self):
+        # X = eta/(1+eta) squares to an underflow here; every G_k(c; 0) = 1,
+        # so S = (1+eta)/eta.
+        p = SumParams(1e-300, 2.0, 0.0)
+        assert ClosedFormArgument.from_params(p).xi == 0.0
+        for method in ("auto", "closed"):
+            r = evaluate(p, method)
+            assert r.value == pytest.approx(1e300, rel=1e-13)
+            assert math.isfinite(r.abs_error_estimate)
+
     def test_continuation_past_minus_eta(self):
         # x < -eta flips the sign of X; the elementary branch carries on.
         r = sum_closed(SumParams(0.4, 2.0, -0.8))
