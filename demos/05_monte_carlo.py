@@ -2,10 +2,11 @@
 Simulated progeny against the analytic law
 ==========================================
 
-Every replicate runs its own counter-based random stream keyed by
-(seed, replicate index), so results are exactly reproducible and do not
-depend on the worker count. The chi-square statistic compares empirical
-cell counts with the analytic pmf.
+Replicates run in fixed blocks, each with its own counter-based random
+stream keyed by (seed, block index), and workers take whole blocks, so
+results are exactly reproducible and do not depend on the worker count.
+The chi-square statistic compares empirical cell counts with the analytic
+pmf.
 """
 
 from hypersum import (

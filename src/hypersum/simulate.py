@@ -1,10 +1,13 @@
 """Seeded Monte Carlo for total progeny under the extinction-dual offspring
 law, with a chi-square comparison against the analytic distribution.
 
-Reproducibility contract: every replicate draws from its own counter-based
-stream keyed by (seed, replicate index), so the outcome of replicate i is a
-pure function of those two integers. Worker count only changes scheduling,
-never results.
+Reproducibility contract: replicates are grouped into fixed blocks of
+_BLOCK consecutive indices, and block b draws from its own counter-based
+stream keyed by (seed, b). All live replicates of a block step one
+generation together, so a block's totals are a pure function of the seed,
+the block index and the block's size. Workers receive whole blocks only,
+so the counts depend on (seed, replicates, progeny_cap) and never on the
+worker count.
 """
 
 import bisect
@@ -104,31 +107,47 @@ class DualOffspringSampler:
         return idx
 
 
-def _replicate_stream(seed, index):
-    # Counter word 3 carries the replicate index: disjoint 2^192-draw
-    # blocks per replicate, independent of scheduling.
-    return Generator(Philox(key=seed, counter=[0, 0, 0, index]))
+# Replicates per stream block. Part of the reproducibility contract: a
+# different value gives different (equally valid) seeded outputs.
+_BLOCK = 2 ** 14
 
 
-def _run_range(d, seed, lo, hi, cap):
+def _block_stream(seed, block):
+    # Counter word 3 carries the block index: disjoint 2^192-draw streams
+    # per block, independent of scheduling.
+    return Generator(Philox(key=seed, counter=[0, 0, 0, block]))
+
+
+def _run_block(sampler, rng, n, cap):
+    """Totals of n replicates, each started from one particle.
+
+    Every round steps all live replicates one generation with a single
+    draw of uniforms, taken in replicate order. A replicate stops when
+    it dies out or its total reaches cap at the end of a generation.
+    """
+    total = np.ones(n, dtype=np.int64)
+    live = np.arange(n)
+    alive = np.ones(n, dtype=np.int64)
+    while live.size:
+        # A replicate's draws are contiguous; reduceat sums them exactly.
+        ks = sampler.sample_many(rng.random(int(alive.sum())))
+        births = np.add.reduceat(ks, np.cumsum(alive) - alive)
+        total[live] += births
+        keep = (births > 0) & (total[live] < cap)
+        live, alive = live[keep], births[keep]
+    return total
+
+
+def _run_blocks(d, seed, lo, hi, n, cap):
+    """Counts of uncensored totals and the censored number over blocks
+    lo..hi-1 of an n-replicate run."""
     sampler = DualOffspringSampler(d)
-    counts = {}
-    censored = 0
-    for i in range(lo, hi):
-        rng = _replicate_stream(seed, i)
-        total = 1
-        alive = 1
-        while alive > 0:
-            births = int(sampler.sample_many(rng.random(alive)).sum())
-            total += births
-            alive = births
-            if total >= cap:
-                break
-        if total >= cap:
-            censored += 1
-        else:
-            counts[total] = counts.get(total, 0) + 1
-    return counts, censored
+    totals = np.concatenate([
+        _run_block(sampler, _block_stream(seed, b), min(_BLOCK, n - b * _BLOCK), cap)
+        for b in range(lo, hi)])
+    values, freq = np.unique(totals[totals < cap], return_counts=True)
+    counts = dict(zip(values.tolist(), freq.tolist()))
+    return counts, int(totals.size - freq.sum())
 
 
 @dataclass(frozen=True)
@@ -151,20 +170,22 @@ def simulate_total_progeny(d, cfg):
     process started from one particle.
 
     Generation-by-generation population counts only; totals at or above
-    cfg.progeny_cap are censored, never dropped. Multi-worker runs split
-    the replicate range and merge by summation, which is order-free.
+    cfg.progeny_cap are censored, never dropped. Multi-worker runs give
+    each worker a run of whole blocks and merge by summation, which is
+    order-free.
     """
     if d.alpha >= 1.0 or d.lam >= 1.0:
         raise DomainError("dual process needs alpha < 1 and lam < 1")
-    n = cfg.replicates
-    if cfg.workers == 1 or n < 2 * cfg.workers:
-        counts, censored = _run_range(d, cfg.seed, 0, n, cfg.progeny_cap)
+    n, cap = cfg.replicates, cfg.progeny_cap
+    blocks = -(-n // _BLOCK)
+    step = -(-blocks // cfg.workers)
+    ranges = [(d, cfg.seed, lo, min(lo + step, blocks), n, cap)
+              for lo in range(0, blocks, step)]
+    if len(ranges) == 1:
+        counts, censored = _run_blocks(*ranges[0])
     else:
-        step = (n + cfg.workers - 1) // cfg.workers
-        ranges = [(d, cfg.seed, lo, min(lo + step, n), cfg.progeny_cap)
-                  for lo in range(0, n, step)]
-        with multiprocessing.Pool(cfg.workers) as pool:
-            parts = pool.starmap(_run_range, ranges)
+        with multiprocessing.Pool(len(ranges)) as pool:
+            parts = pool.starmap(_run_blocks, ranges)
         counts = {}
         censored = 0
         for c, z in parts:

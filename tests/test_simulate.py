@@ -13,6 +13,7 @@ from hypersum.branching import (
     ProgenyHalfLaw,
     ScaledSibuya,
     dual_offspring_pmf,
+    extinction_prob,
     progeny_pgf_elementary,
     progeny_pmf_range,
 )
@@ -26,7 +27,7 @@ from hypersum.simulate import (
     gof_compare,
     simulate_total_progeny,
 )
-from hypersum.simulate import _replicate_stream
+from hypersum.simulate import _BLOCK, _block_stream
 
 OFFSPRING = ScaledSibuya(0.5, 0.6)
 LAW = ProgenyHalfLaw(0.6)
@@ -84,7 +85,7 @@ class TestSampler:
     def test_sample_many_matches_scalar(self):
         s1 = DualOffspringSampler(OFFSPRING)
         s2 = DualOffspringSampler(OFFSPRING)
-        us = _replicate_stream(7, 0).random(500)
+        us = _block_stream(7, 0).random(500)
         batch = s1.sample_many(us)
         singles = [s2.sample(float(u)) for u in us]
         assert list(batch) == singles
@@ -93,7 +94,7 @@ class TestSampler:
         # 2e5 draws: p0 = 0.625, p1 = 0.3, margins at 4 sigma.
         s = DualOffspringSampler(OFFSPRING)
         n = 200_000
-        ks = s.sample_many(_replicate_stream(11, 0).random(n))
+        ks = s.sample_many(_block_stream(11, 0).random(n))
         f0 = (ks == 0).sum() / n
         f1 = (ks == 1).sum() / n
         assert abs(f0 - 0.625) < 4 * math.sqrt(0.625 * 0.375 / n)
@@ -119,6 +120,16 @@ class TestReproducibility:
         assert one.counts == two.counts
         assert one.censored == two.censored
 
+    def test_workers_split_at_block_boundaries(self):
+        # Two and a half blocks: the run ends in a partial block, and 3 or 4
+        # workers each get a single block.
+        cfg = dict(seed=77, replicates=int(2.5 * _BLOCK))
+        one = simulate_total_progeny(OFFSPRING, SimConfig(**cfg, workers=1))
+        for w in (2, 3, 4):
+            many = simulate_total_progeny(OFFSPRING, SimConfig(**cfg, workers=w))
+            assert many.counts == one.counts
+            assert many.censored == one.censored
+
 
 class TestCensoring:
     def test_cap_censors_and_conserves(self):
@@ -126,6 +137,13 @@ class TestCensoring:
         assert sim.censored > 0
         assert all(k < 5 for k in sim.counts)
         assert sum(sim.counts.values()) + sim.censored == 20_000
+
+    def test_censored_share_matches_tail_mass(self):
+        n, cap = 20_000, 8
+        sim = simulate_total_progeny(OFFSPRING, SimConfig(seed=2019, replicates=n, progeny_cap=cap))
+        tail = 1.0 - math.fsum(progeny_pmf_range(LAW, cap - 1))
+        assert all(k < cap for k in sim.counts)
+        assert abs(sim.censored / n - tail) < 4 * math.sqrt(tail * (1.0 - tail) / n)
 
     def test_counts_container_checks_conservation(self):
         with pytest.raises(DomainError):
@@ -146,6 +164,19 @@ class TestAgainstAnalyticLaw:
         n = sum(sim_100k.counts.values())
         mean = sum(k * v for k, v in sim_100k.counts.items()) / n
         assert abs(mean - slope) < 0.05
+
+    def test_long_walk_mean(self):
+        # alpha = 0.9: the offspring mean is alpha, so E[T] = 1/(1-alpha) and
+        # Var[T] = sigma^2/(1-alpha)^3 with the dual offspring variance
+        # sigma^2 = q alpha (1-alpha)/(1-q) + alpha - alpha^2.
+        a, n = 0.9, 20_000
+        d = ScaledSibuya(a, 0.6)
+        q = extinction_prob(d)
+        var = (q * a * (1.0 - a) / (1.0 - q) + a - a * a) / (1.0 - a) ** 3
+        sim = simulate_total_progeny(d, SimConfig(seed=2019, replicates=n))
+        assert sim.censored == 0
+        mean = sum(k * v for k, v in sim.counts.items()) / n
+        assert abs(mean - 1.0 / (1.0 - a)) < 4 * math.sqrt(var / n)
 
     def test_gof_accepts_true_law(self, sim_100k):
         rep = gof_compare(sim_100k, LAW)
