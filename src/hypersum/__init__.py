@@ -68,6 +68,6 @@ from .sums import (
     sum_direct,
     sum_special,
 )
-from .verify import run_all, run_suite
+from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice
 
-from scipy.integrate import quad
-
 from .errors import DomainError, QuadratureFailure, RootFindFailure
 from .special import (
     _g_seed,
@@ -223,6 +221,8 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
     (ell-1)! is folded into the exponent. Upper limit is set where the
     log-integrand falls 40 below its peak.
     """
+    from scipy.integrate import quad
+
     ell = _positive_int(ell, "ell")
     gamma = 2.0 / (law.lam * law.lam)
     beta = gamma * math.sqrt(law.Q)

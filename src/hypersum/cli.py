@@ -2,11 +2,16 @@
 
 Data records go to stdout (newline-delimited JSON, or CSV with a fixed
 per-command header); diagnostics go to stderr. Every record carries a
-``status`` field. Exit codes: 0 success, 2 domain or convergence rejection,
+``status`` field, and a typed error is written as a record by the same
+writer. Exit codes: 0 success, 2 domain or convergence rejection,
 3 numerical failure, 4 verification-suite failure.
 """
 
 import argparse
+import contextlib
+import csv
+import json
+import math
 import sys
 
 from .branching import (
@@ -41,155 +46,90 @@ _DOMAIN_ERRORS = (DomainError, NotConvergent)
 _NUMERIC_ERRORS = (NonConvergent, SlowConvergence, QuadratureFailure,
                    RootFindFailure, InsufficientData, OverflowError)
 
-
-def _jfloat(v):
-    # 17 significant digits: round-trip exact for binary64.
-    return "%.17g" % v
-
-
-def _json_line(obj):
-    """Serialize with explicit float formatting (17 significant digits)."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join('"%s": %s' % (k, _json_line(v)) for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_line(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _jfloat(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+# CSV header of each leaf command; verify writes JSON only.
+_COLUMNS = {
+    "hyp2f1": "a b c x value abs_error_estimate terms_used method status".split(),
+    "sum": "eta c x method value abs_error_estimate terms_used route continuation status".split(),
+    "pmf": "lambda ell p status".split(),
+    "pgf": "lambda z value route status".split(),
+    "general": "c x ell q running_sum status".split(),
+    "simulate": ("alpha lambda replicates seed censored chi_square dof threshold_0999 "
+                 "max_abs_deviation status").split(),
+}
 
 
-class _Emitter:
-    """Writes records as JSON lines or CSV rows with a fixed header."""
-
-    def __init__(self, fmt, out, columns):
-        self.fmt = fmt
-        self.out = out
-        self.columns = columns
-        self._wrote_header = False
-
-    def emit(self, record):
-        if self.fmt == "json":
-            self.out.write(_json_line(record) + "\n")
-            return
-        if not self._wrote_header:
-            self.out.write(",".join(self.columns) + "\n")
-            self._wrote_header = True
-        cells = []
-        for col in self.columns:
-            v = record.get(col, "")
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(_jfloat(v))
-            else:
-                cells.append(str(v))
-        self.out.write(",".join(cells) + "\n")
-
-
-def _cmd_hyp2f1(args, out):
-    em = _Emitter(args.format, out,
-                  ["a", "b", "c", "x", "value", "abs_error_estimate",
-                   "terms_used", "method", "status"])
+def _cmd_hyp2f1(args):
     if args.a == 0.5 and args.b == 1.0:
         res = hyp2f1_half_one(args.c, args.x, tol=args.tol)
     else:
         res = hyp2f1_series(HypParams(args.a, args.b, args.c, args.x), tol=args.tol)
-    em.emit({"a": args.a, "b": args.b, "c": args.c, "x": args.x,
-             "value": res.value, "abs_error_estimate": res.abs_error_estimate,
-             "terms_used": res.terms_used, "method": res.method.value,
-             "status": "ok"})
-    return EXIT_OK
+    yield {"a": args.a, "b": args.b, "c": args.c, "x": args.x,
+           "value": res.value, "abs_error_estimate": res.abs_error_estimate,
+           "terms_used": res.terms_used, "method": res.method.value, "status": "ok"}
 
 
-def _cmd_sum(args, out):
-    em = _Emitter(args.format, out,
-                  ["eta", "c", "x", "method", "value", "abs_error_estimate",
-                   "terms_used", "route", "continuation", "status"])
+def _cmd_sum(args):
     res = evaluate(SumParams(args.eta, args.c, args.x), method=args.method)
-    em.emit({"eta": args.eta, "c": args.c, "x": args.x, "method": args.method,
-             "value": res.value, "abs_error_estimate": res.abs_error_estimate,
-             "terms_used": res.terms_used, "route": res.method.value,
-             "continuation": res.continuation, "status": "ok"})
-    return EXIT_OK
+    yield {"eta": args.eta, "c": args.c, "x": args.x, "method": args.method,
+           "value": res.value, "abs_error_estimate": res.abs_error_estimate,
+           "terms_used": res.terms_used, "route": res.method.value,
+           "continuation": res.continuation, "status": "ok"}
 
 
-def _cmd_progeny(args, out):
-    if args.progeny_cmd == "pmf":
-        em = _Emitter(args.format, out, ["lambda", "ell", "p", "status"])
-        law = ProgenyHalfLaw(args.lam)
-        for ell, p in enumerate(progeny_pmf_range(law, args.lmax), start=1):
-            em.emit({"lambda": args.lam, "ell": ell, "p": p, "status": "ok"})
-        return EXIT_OK
-    if args.progeny_cmd == "pgf":
-        em = _Emitter(args.format, out, ["lambda", "z", "value", "route", "status"])
-        law = ProgenyHalfLaw(args.lam)
-        if args.z <= law.z_minus * (1.0 + 1e-12):
-            value = progeny_pgf_hypergeometric(law, args.z)
-            route = "hypergeometric"
-        else:
-            value = progeny_pgf_elementary(law, args.z)
-            route = "elementary"
-        em.emit({"lambda": args.lam, "z": args.z, "value": value,
-                 "route": route, "status": "ok"})
-        return EXIT_OK
-    em = _Emitter(args.format, out, ["c", "x", "ell", "q", "running_sum", "status"])
+def _cmd_pmf(args):
+    law = ProgenyHalfLaw(args.lam)
+    for ell, p in enumerate(progeny_pmf_range(law, args.lmax), start=1):
+        yield {"lambda": args.lam, "ell": ell, "p": p, "status": "ok"}
+
+
+def _cmd_pgf(args):
+    law = ProgenyHalfLaw(args.lam)
+    if args.z <= law.z_minus * (1.0 + 1e-12):
+        value = progeny_pgf_hypergeometric(law, args.z)
+        route = "hypergeometric"
+    else:
+        value = progeny_pgf_elementary(law, args.z)
+        route = "elementary"
+    yield {"lambda": args.lam, "z": args.z, "value": value, "route": route, "status": "ok"}
+
+
+def _cmd_general(args):
     law = GeneralProgenyLaw(args.c, args.x)
     acc = 0.0
     for ell, q in enumerate(general_progeny_pmf_range(law, args.lmax), start=1):
         acc += q
-        em.emit({"c": args.c, "x": args.x, "ell": ell, "q": q,
-                 "running_sum": acc, "status": "ok"})
-    return EXIT_OK
+        yield {"c": args.c, "x": args.x, "ell": ell, "q": q, "running_sum": acc,
+               "status": "ok"}
 
 
-def _cmd_simulate(args, out):
-    em = _Emitter(args.format, out,
-                  ["alpha", "lambda", "replicates", "seed", "censored",
-                   "chi_square", "dof", "threshold_0999", "max_abs_deviation",
-                   "status"])
+def _cmd_simulate(args):
     d = ScaledSibuya(args.alpha, args.lam)
     cfg = SimConfig(seed=args.seed, replicates=args.n,
                     progeny_cap=args.cap, workers=args.workers)
     sim = simulate_total_progeny(d, cfg)
+    # No analytic half-law cells away from alpha = 1/2.
     record = {"alpha": args.alpha, "lambda": args.lam,
               "replicates": sim.replicates, "seed": args.seed,
-              "censored": sim.censored}
+              "censored": sim.censored, "chi_square": None, "dof": None,
+              "threshold_0999": None, "max_abs_deviation": None}
     if args.alpha == 0.5:
         rep = gof_compare(sim, ProgenyHalfLaw(args.lam), bins=args.bins)
         record.update({"chi_square": rep.chi_square, "dof": rep.dof,
                        "threshold_0999": chi_square_threshold(rep.dof),
-                       "max_abs_deviation": rep.max_abs_deviation})
-        if args.format == "json":
-            record["z_scores"] = {str(k): v for k, v in sorted(rep.z_scores.items())}
-            record["empirical_counts"] = {
-                str(k): v for k, v in sorted(sim.counts.items())[:200]}
-    else:
-        # No analytic half-law cells away from alpha = 1/2.
-        record.update({"chi_square": None, "dof": None, "threshold_0999": None,
-                       "max_abs_deviation": None})
-        if args.format == "json":
-            record["empirical_counts"] = {
-                str(k): v for k, v in sorted(sim.counts.items())[:200]}
+                       "max_abs_deviation": rep.max_abs_deviation,
+                       "z_scores": dict(sorted(rep.z_scores.items()))})
+    record["empirical_counts"] = dict(sorted(sim.counts.items())[:200])
     record["status"] = "ok"
-    em.emit(record)
-    return EXIT_OK
+    yield record
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     kwargs = {}
     if args.suite == "montecarlo" and args.replicates is not None:
         kwargs["replicates"] = args.replicates
     result = run_suite(args.suite, **kwargs)
     result["status"] = "ok" if result["pass"] else "fail"
-    em = _Emitter("json", out, [])
-    em.emit(result)
-    return EXIT_OK if result["pass"] else EXIT_VERIFY
+    yield result
 
 
 def _build_parser():
@@ -256,33 +196,59 @@ def _build_parser():
 _DISPATCH = {
     "hyp2f1": _cmd_hyp2f1,
     "sum": _cmd_sum,
-    "progeny": _cmd_progeny,
+    "pmf": _cmd_pmf,
+    "pgf": _cmd_pgf,
+    "general": _cmd_general,
     "simulate": _cmd_simulate,
     "verify": _cmd_verify,
 }
 
 
+def _finite(v):
+    if isinstance(v, float):
+        return math.isfinite(v)
+    if isinstance(v, dict):
+        return all(map(_finite, v.values()))
+    if isinstance(v, (list, tuple)):
+        return all(map(_finite, v))
+    return True
+
+
+def _writer(out, fmt, columns):
+    """A function that writes one record as a JSON line or as a CSV row.
+
+    CSV writes the header at once, so an error record is a row under it;
+    keys outside the header are dropped and ``None`` is an empty cell.
+    """
+    if fmt == "json":
+        return lambda rec: out.write(json.dumps(rec, allow_nan=False) + "\n")
+    w = csv.DictWriter(out, columns, restval="", extrasaction="ignore", lineterminator="\n")
+    w.writeheader()
+    return lambda rec: w.writerow(
+        {k: ("true" if v else "false") if isinstance(v, bool) else v for k, v in rec.items()})
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w")
-        close = True
-    try:
-        return _DISPATCH[args.cmd](args, out)
-    except _DOMAIN_ERRORS as e:
-        out.write(_json_line({"status": type(e).__name__, "error": str(e)}) + "\n")
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_DOMAIN
-    except _NUMERIC_ERRORS as e:
-        out.write(_json_line({"status": type(e).__name__, "error": str(e)}) + "\n")
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_NUMERIC
-    finally:
-        if close:
-            out.close()
-
+    leaf = args.progeny_cmd if args.cmd == "progeny" else args.cmd
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        write = _writer(out, getattr(args, "format", "json"), _COLUMNS.get(leaf))
+        try:
+            for name, v in vars(args).items():
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise DomainError("%s must be finite, got %r" % (name, v))
+            code = EXIT_OK
+            for rec in _DISPATCH[leaf](args):
+                if not _finite(rec):
+                    raise OverflowError("non-finite value in a %s record" % leaf)
+                write(rec)
+                if rec["status"] == "fail":
+                    code = EXIT_VERIFY
+            return code
+        except _DOMAIN_ERRORS + _NUMERIC_ERRORS as e:
+            write({"status": type(e).__name__, "error": str(e)})
+            print("error: %s" % e, file=sys.stderr)
+            return EXIT_DOMAIN if isinstance(e, _DOMAIN_ERRORS) else EXIT_NUMERIC
 
 if __name__ == "__main__":
     sys.exit(main())

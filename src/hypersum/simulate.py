@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.stats import chi2 as _chi2_dist
 
 from .branching import ProgenyHalfLaw, extinction_prob, progeny_pmf_range
 from .errors import DomainError, InsufficientData
@@ -223,7 +222,11 @@ class GofReport:
 
 
 def chi_square_threshold(dof, quantile=0.999):
-    return float(_chi2_dist.ppf(quantile, dof))
+    """The chi-square ``quantile`` at ``dof`` degrees of freedom: twice the
+    inverse of the regularised lower incomplete gamma function at dof/2."""
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(dof / 2.0, quantile))
 
 
 def gof_compare(sim, law, bins=20):

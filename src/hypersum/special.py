@@ -66,7 +66,8 @@ class EvalResult:
     """A computed value with an error estimate and provenance.
 
     ``continuation`` is True only when the value is an analytic-continuation
-    value rather than the sum of a convergent series.
+    value rather than the sum of a convergent series. The value is always
+    finite: a route whose value overflows raises ``OverflowError``.
     """
 
     value: float
@@ -76,7 +77,9 @@ class EvalResult:
     continuation: bool = False
 
     def __post_init__(self):
-        if math.isfinite(self.value) and not math.isfinite(self.abs_error_estimate):
+        if not math.isfinite(self.value):
+            raise OverflowError("value %r is not finite" % self.value)
+        if not math.isfinite(self.abs_error_estimate):
             raise ValueError("finite value requires a finite error estimate")
         if self.terms_used == 0 and self.method not in (Method.ClosedForm, Method.GaussPoint):
             raise ValueError("terms_used = 0 is reserved for closed-form routes")
@@ -198,7 +201,7 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
         Partial sum with a geometric-tail error bound from the last term
         ratio.
     """
-    if abs(p.x) >= 1.0:
+    if not abs(p.x) < 1.0:
         raise DomainError("series requires |x| < 1, got x=%g" % p.x)
     if max_terms is None:
         max_terms = default_max_terms()
@@ -255,7 +258,7 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
     """
     if c <= 0:
         raise DomainError("require c > 0")
-    if chi > 1.0:
+    if not chi <= 1.0:
         raise DomainError("require chi <= 1")
     if chi == 1.0 and c <= 1.5:
         raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")

@@ -199,7 +199,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             return EvalResult(value=s, abs_error_estimate=est,
                               terms_used=max_terms + 1, method=Method.Series)
         if override_divergence:
-            return EvalResult(value=s, abs_error_estimate=last if math.isfinite(s) else math.inf,
+            return EvalResult(value=s, abs_error_estimate=last,
                               terms_used=max_terms + 1, method=Method.Series)
         raise SlowConvergence(
             "direct sum did not settle in %d terms (term ratio ~ %.6f)"

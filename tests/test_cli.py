@@ -2,6 +2,8 @@
 parsing, exit codes, stream separation, and output formats are all covered
 as a user would hit them."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +22,12 @@ def run_cli(*args, env_extra=None):
 
 def json_lines(proc):
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def csv_records(proc):
+    header, *rows = csv.reader(io.StringIO(proc.stdout))
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
 
 
 class TestHyp2f1Command:
@@ -42,6 +50,18 @@ class TestHyp2f1Command:
         assert proc.returncode == 2
         assert json_lines(proc)[0]["status"] == "DomainError"
         assert "error" in proc.stderr
+
+    def test_overflow_exits_3(self):
+        proc = run_cli("hyp2f1", "--a", "300", "--b", "300", "--c", "1", "--x", "0.99")
+        assert proc.returncode == 3
+        (rec,) = json_lines(proc)
+        assert rec["status"] == "OverflowError"
+        assert "error" in proc.stderr
+
+    def test_nan_argument_exits_2(self):
+        proc = run_cli("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2", "--x", "nan")
+        assert proc.returncode == 2
+        assert json_lines(proc)[0]["status"] == "DomainError"
 
     def test_general_series_route(self):
         proc = run_cli("hyp2f1", "--a", "0.3", "--b", "1.7", "--c", "2.2", "--x", "0.41")
@@ -75,6 +95,25 @@ class TestSumCommand:
         proc = run_cli("sum", "--eta", "0.4", "--c", "2", "--x", "0.5")
         assert proc.returncode == 2
         assert json_lines(proc)[0]["status"] == "NotConvergent"
+
+    def test_infinite_argument_exits_2(self):
+        proc = run_cli("sum", "--eta", "inf", "--c", "2", "--x", "0.5")
+        assert proc.returncode == 2
+        assert json_lines(proc)[0]["status"] == "DomainError"
+
+    def test_divergent_csv_is_a_row(self):
+        proc = run_cli("sum", "--eta", "0.4", "--c", "2", "--x", "0.5", "--format", "csv")
+        assert proc.returncode == 2
+        recs = csv_records(proc)
+        assert len(recs) == 1
+        assert recs[0]["status"] == "NotConvergent"
+        assert recs[0]["value"] == ""
+        assert "diverges" in proc.stderr
+
+    def test_overflow_csv_exits_3(self):
+        proc = run_cli("sum", "--eta", "1e-310", "--c", "2", "--x", "0", "--format", "csv")
+        assert proc.returncode == 3
+        assert [r["status"] for r in csv_records(proc)] == ["OverflowError"]
 
     def test_routes_agree(self):
         a = json_lines(run_cli("sum", "--eta", "2", "--c", "2.5", "--x", "0.5",
@@ -160,6 +199,14 @@ class TestSimulateCommand:
         assert rec["chi_square"] is None
         assert rec["dof"] is None
 
+    def test_non_half_alpha_csv_cells_are_empty(self):
+        proc = run_cli("simulate", "--alpha", "0.3", "--lambda", "0.6",
+                       "--n", "500", "--seed", "4", "--format", "csv")
+        assert proc.returncode == 0
+        (rec,) = csv_records(proc)
+        assert rec["chi_square"] == rec["dof"] == ""
+        assert rec["status"] == "ok"
+
 
 class TestVerifyCommand:
     def test_suite_passes(self):
@@ -180,3 +227,13 @@ class TestOutputRedirect:
         recs = [json.loads(line) for line in target.read_text().splitlines()]
         assert len(recs) == 2
         assert recs[0]["p"] == pytest.approx(0.625, rel=1e-13)
+
+
+class TestImportSurface:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, hypersum.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

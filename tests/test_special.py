@@ -55,6 +55,15 @@ class TestSeries:
         with pytest.raises(NonConvergent):
             hyp2f1_series(HypParams(0.5, 1.0, 2.0, 0.9), max_terms=5)
 
+    def test_overflow_raises(self):
+        # The partial sums pass 1e308 long before the terms decay.
+        with pytest.raises(OverflowError):
+            hyp2f1_series(HypParams(300.0, 300.0, 1.0, 0.99))
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError):
+            hyp2f1_series(HypParams(0.5, 1.0, 2.0, math.nan))
+
     def test_c_pole_rejected(self):
         with pytest.raises(DomainError):
             HypParams(0.5, 1.0, 0.0, 0.3)
@@ -118,6 +127,11 @@ class TestHalfOneDispatch:
             hyp2f1_half_one(-1.0, 0.5)
         with pytest.raises(DomainError):
             hyp2f1_half_one(2.0, 1.5)
+
+    def test_nan_argument_rejected(self):
+        # c = 2 has a closed form that would carry the nan through.
+        with pytest.raises(DomainError):
+            hyp2f1_half_one(2.0, math.nan)
 
 
 class TestLadder:
@@ -236,6 +250,12 @@ class TestEvalResult:
         r = EvalResult(value=1.0, abs_error_estimate=0.0,
                        terms_used=0, method=Method.ClosedForm)
         assert not r.continuation
+
+    def test_value_is_finite(self):
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OverflowError):
+                EvalResult(value=v, abs_error_estimate=0.0,
+                           terms_used=0, method=Method.ClosedForm)
 
 
 class TestTermCapEnv:

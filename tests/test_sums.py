@@ -188,6 +188,14 @@ class TestSumClosed:
             assert r.value == pytest.approx(1e300, rel=1e-13)
             assert math.isfinite(r.abs_error_estimate)
 
+    def test_overflow_at_tiny_eta(self):
+        # S = (1+eta)/eta is past the largest double.
+        p = SumParams(1e-310, 2.0, 0.0)
+        with pytest.raises(OverflowError):
+            sum_closed(p)
+        with pytest.raises(OverflowError):
+            evaluate(p)
+
     def test_continuation_past_minus_eta(self):
         # x < -eta flips the sign of X; the elementary branch carries on.
         r = sum_closed(SumParams(0.4, 2.0, -0.8))
