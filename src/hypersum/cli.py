@@ -214,6 +214,13 @@ def _finite(v):
     return True
 
 
+def _plain(o):
+    """A numpy scalar (a suite's verdict may be a numpy bool) as its Python value."""
+    if hasattr(o, "item"):
+        return o.item()
+    raise TypeError("%s is not JSON serializable" % type(o).__name__)
+
+
 def _writer(out, fmt, columns):
     """A function that writes one record as a JSON line or as a CSV row.
 
@@ -221,7 +228,7 @@ def _writer(out, fmt, columns):
     keys outside the header are dropped and ``None`` is an empty cell.
     """
     if fmt == "json":
-        return lambda rec: out.write(json.dumps(rec, allow_nan=False) + "\n")
+        return lambda rec: out.write(json.dumps(rec, allow_nan=False, default=_plain) + "\n")
     w = csv.DictWriter(out, columns, restval="", extrasaction="ignore", lineterminator="\n")
     w.writeheader()
     return lambda rec: w.writerow(

@@ -66,8 +66,7 @@ class EvalResult:
     """A computed value with an error estimate and provenance.
 
     ``continuation`` is True only when the value is an analytic-continuation
-    value rather than the sum of a convergent series. The value is always
-    finite: a route whose value overflows raises ``OverflowError``.
+    value rather than the sum of a convergent series.
     """
 
     value: float
@@ -77,9 +76,7 @@ class EvalResult:
     continuation: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise OverflowError("value %r is not finite" % self.value)
-        if not math.isfinite(self.abs_error_estimate):
+        if math.isfinite(self.value) and not math.isfinite(self.abs_error_estimate):
             raise ValueError("finite value requires a finite error estimate")
         if self.terms_used == 0 and self.method not in (Method.ClosedForm, Method.GaussPoint):
             raise ValueError("terms_used = 0 is reserved for closed-form routes")
@@ -170,10 +167,7 @@ def _series_sum(a, b, c, x, tol, max_terms):
         return acc, tail, n + 1, converged
     sign = 1.0 if acc >= 0 else -1.0
     lv = off + math.log(abs(acc)) if acc != 0.0 else -math.inf
-    try:
-        value = sign * math.exp(lv)
-    except OverflowError:
-        value = sign * math.inf
+    value = sign * math.exp(lv)  # OverflowError past the largest double
     try:
         tail = math.exp(off + math.log(tail)) if tail > 0.0 else 0.0
     except OverflowError:
@@ -199,7 +193,7 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
     -------
     EvalResult
         Partial sum with a geometric-tail error bound from the last term
-        ratio.
+        ratio. A sum past the largest double raises ``OverflowError``.
     """
     if not abs(p.x) < 1.0:
         raise DomainError("series requires |x| < 1, got x=%g" % p.x)

@@ -199,7 +199,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             return EvalResult(value=s, abs_error_estimate=est,
                               terms_used=max_terms + 1, method=Method.Series)
         if override_divergence:
-            return EvalResult(value=s, abs_error_estimate=last,
+            return EvalResult(value=s, abs_error_estimate=last if math.isfinite(s) else math.inf,
                               terms_used=max_terms + 1, method=Method.Series)
         raise SlowConvergence(
             "direct sum did not settle in %d terms (term ratio ~ %.6f)"
@@ -226,6 +226,13 @@ def _special_value(c, eta, x):
     return (4.0 / 3.0) * (1.0 + eta) * (eta + x + 2.0 * R) / (eta + x + R) ** 2
 
 
+def _finite(v, p):
+    """v, or OverflowError when the closed-form arithmetic left double range."""
+    if not math.isfinite(v):
+        raise OverflowError("S(%g, %g; %g) is out of double range" % (p.eta, p.c, p.x))
+    return v
+
+
 def sum_closed(p):
     """S(eta, c; x) through the one-function closed form.
 
@@ -238,18 +245,21 @@ def sum_closed(p):
       continuations are returned with ``continuation=True``; other c raise.
     * xi = 1 (x = 1 or x = eta^2): the unit-argument Gauss value, c > 3/2
       only.
+
+    A value past the largest double (eta below about 1e-308) raises
+    ``OverflowError``.
     """
     eta, c, x = p.eta, p.c, p.x
     X = (x + eta) / (1.0 + eta)
     if x == -eta or abs(x + eta) <= 4e-16 * (abs(x) + eta):
         if c <= 0.5:
             raise DomainError("x = -eta limit needs c > 1/2")
-        v = math.exp(log_abs_gamma(c) - log_abs_gamma(c - 0.5)) * math.sqrt(math.pi / eta)
+        v = _finite(math.exp(log_abs_gamma(c) - log_abs_gamma(c - 0.5)) * math.sqrt(math.pi / eta), p)
         return EvalResult(value=v, abs_error_estimate=8.0 * v * 2.2e-16,
                           terms_used=0, method=Method.ClosedForm)
     if X < 0.0:
         if c in (1.0, 2.0, 3.0):
-            v = _special_value(c, eta, x)
+            v = _finite(_special_value(c, eta, x), p)
             return EvalResult(value=v, abs_error_estimate=8.0 * abs(v) * 2.2e-16,
                               terms_used=0, method=Method.ClosedForm, continuation=True)
         raise DomainError(
@@ -264,7 +274,7 @@ def sum_closed(p):
     if xi == 1.0 and c <= 1.5:
         raise DomainError("xi = 1 requires c > 3/2")
     inner = hyp2f1_half_one(c, xi)
-    v = inner.value / X
+    v = _finite(inner.value / X, p)
     est = inner.abs_error_estimate / X + 4.0 * abs(v) * 2.2e-16
     return EvalResult(value=v, abs_error_estimate=est,
                       terms_used=inner.terms_used, method=inner.method)
@@ -284,8 +294,8 @@ def sum_special(p):
         raise DomainError("outside the convergence region: %s" % verdict.reason.value)
     if p.c == 1.0 and verdict.on_boundary:
         raise DomainError("c = 1 requires the strict interior")
-    return EvalResult(value=_special_value(p.c, p.eta, p.x),
-                      abs_error_estimate=8.0 * abs(_special_value(p.c, p.eta, p.x)) * 2.2e-16,
+    v = _finite(_special_value(p.c, p.eta, p.x), p)
+    return EvalResult(value=v, abs_error_estimate=8.0 * abs(v) * 2.2e-16,
                       terms_used=0, method=Method.ClosedForm)
 
 

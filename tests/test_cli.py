@@ -217,6 +217,20 @@ class TestVerifyCommand:
         assert rec["status"] == "ok"
 
 
+    def test_failing_suite_exits_4(self):
+        # A wrong Gauss-point value makes the closed-forms verdict a numpy
+        # bool, which must still be written as a JSON record.
+        code = ("import sys, hypersum.verify as v; from hypersum.cli import main; "
+                "v.gauss_point = lambda a, b, c: 0.0; "
+                "sys.exit(main(['verify', '--suite', 'closed-forms']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 4, proc.stderr
+        (rec,) = json_lines(proc)
+        assert rec["pass"] is False
+        assert rec["status"] == "fail"
+
+
 class TestOutputRedirect:
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "rows.json"

@@ -251,12 +251,6 @@ class TestEvalResult:
                        terms_used=0, method=Method.ClosedForm)
         assert not r.continuation
 
-    def test_value_is_finite(self):
-        for v in (math.inf, -math.inf, math.nan):
-            with pytest.raises(OverflowError):
-                EvalResult(value=v, abs_error_estimate=0.0,
-                           terms_used=0, method=Method.ClosedForm)
-
 
 class TestTermCapEnv:
     def test_env_override(self, monkeypatch):

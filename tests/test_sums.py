@@ -195,6 +195,10 @@ class TestSumClosed:
             sum_closed(p)
         with pytest.raises(OverflowError):
             evaluate(p)
+        with pytest.raises(OverflowError):
+            sum_special(p)
+        with pytest.raises(OverflowError):
+            sum_closed(SumParams(1e-310, 2.0, -1e-310))
 
     def test_continuation_past_minus_eta(self):
         # x < -eta flips the sign of X; the elementary branch carries on.
