@@ -15,7 +15,6 @@ from .errors import DomainError, QuadratureFailure, RootFindFailure
 from .special import (
     _g_seed,
     _ladder,
-    bessel_i1_scaled,
     hyp2f1_half_one,
 )
 
@@ -176,6 +175,8 @@ def progeny_pgf_elementary(law, z):
 
     Real only off the branch cut (z_minus, z_plus).
     """
+    if not math.isfinite(z):
+        raise DomainError("z must be finite")
     rad = law.lam * law.lam * z * z - 4.0 * z + 4.0
     if rad < 0.0:
         # At z = z_minus the discriminant is an exact zero hit by rounding
@@ -217,11 +218,12 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
     p_ell = Q^{-1/2}/(ell-1)! * integral_0^inf u^(ell-2) e^(-gamma u)
     I_1(beta u) du with gamma = 2/lam^2, beta = gamma sqrt(Q). Shares no
     code with the recurrence route, so it can serve as an oracle for it.
-    Uses the exponentially scaled I_1 to keep the integrand bounded; the
-    (ell-1)! is folded into the exponent. Upper limit is set where the
-    log-integrand falls 40 below its peak.
+    Uses scipy's exponentially scaled I_1 (``i1e``) to keep the integrand
+    bounded; the (ell-1)! is folded into the exponent. Upper limit is set
+    where the log-integrand falls 40 below its peak.
     """
     from scipy.integrate import quad
+    from scipy.special import i1e
 
     ell = _positive_int(ell, "ell")
     gamma = 2.0 / (law.lam * law.lam)
@@ -235,7 +237,7 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
             # u^(ell-2) I_1(beta u) -> beta/2 at ell = 1, 0 for ell >= 2.
             return beta / 2.0 * math.exp(lpref) if ell == 1 else 0.0
         lt = (ell - 2) * math.log(u) - decay * u + lpref
-        return math.exp(lt) * bessel_i1_scaled(beta * u)
+        return math.exp(lt) * i1e(beta * u)
 
     peak = max((ell - 2) / decay, 1.0 / decay)
     # Walk out until the log-integrand is 40 under its peak value.
@@ -253,46 +255,23 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
 def progeny_pmf_series_coeffs(law, lmax):
     """First lmax progeny probabilities by formal series extraction.
 
-    Writes the surd as sqrt(1-u) with u = z - lam^2 z^2/4 and composes the
-    binomial series. u is a polynomial, so truncating the outer series at
-    order lmax is exact for coefficients up to z^lmax; no analysis is
-    involved, only polynomial algebra, which makes this a third independent
-    route.
+    H(z) = z/(1-lam^2) (1 - lam^2 z/2 - lam r(z)) with r(z) the power series
+    of sqrt(1 - z + lam^2 z^2/4). Squaring r gives the convolution
+    recurrence r_0 = 1, r_n = (a_n - sum_{j=1}^{n-1} r_j r_{n-j})/2 with a_n
+    the coefficients of the polynomial under the root. Only polynomial
+    algebra is involved, which makes this a third independent route; every
+    r_n with n >= 1 is negative, so the sums do not cancel.
     """
-    if lmax < 1 or lmax > 60:
-        raise DomainError("lmax must be in 1..60 (binomial weights overflow beyond)")
-    n = lmax + 1
+    lmax = _positive_int(lmax, "lmax")
     lam2 = law.lam * law.lam
-    # u = z - (lam^2/4) z^2 as coefficient list.
-    u = [0.0] * (n + 1)
-    u[1] = 1.0
-    u[2] = -lam2 / 4.0
-    # sqrt(1-u) = sum_j binom(1/2, j) (-u)^j, truncated at z^n.
-    root = [0.0] * (n + 1)
-    root[0] = 1.0
-    upow = [0.0] * (n + 1)
-    upow[0] = 1.0
-    coef = 1.0
-    for j in range(1, n + 1):
-        nxt = [0.0] * (n + 1)
-        for i in range(n + 1):
-            if upow[i] == 0.0:
-                continue
-            for t in (1, 2):
-                if i + t <= n:
-                    nxt[i + t] += upow[i] * u[t]
-        upow = nxt
-        coef *= (0.5 - (j - 1)) / j
-        for i in range(n + 1):
-            root[i] += coef * (-1.0) ** j * upow[i]
-    # H(z) = z/(1-lam^2) (1 - lam^2 z/2 - lam root(z)).
-    inner = [0.0] * (n + 1)
-    inner[0] = 1.0
-    inner[1] = -lam2 / 2.0
-    for i in range(n + 1):
-        inner[i] -= law.lam * root[i]
+    a = [1.0, -1.0, lam2 / 4.0] + [0.0] * lmax
+    r = [1.0]
+    for n in range(1, lmax):
+        r.append((a[n] - sum(r[j] * r[n - j] for j in range(1, n))) / 2.0)
+    # p_ell is the z^(ell-1) coefficient of (1 - lam^2 z/2 - lam r(z))/(1 - lam^2).
+    inner = [1.0, -lam2 / 2.0] + [0.0] * lmax
     pref = 1.0 / (1.0 - lam2)
-    return [pref * inner[ell - 1] for ell in range(1, lmax + 1)]
+    return [pref * (inner[n] - law.lam * r[n]) for n in range(lmax)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ so the counts depend on (seed, replicates, progeny_cap) and never on the
 worker count.
 """
 
-import bisect
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -57,10 +56,11 @@ class SimConfig:
 class DualOffspringSampler:
     """Inversion sampler for the dual offspring pmf.
 
-    Keeps a prefix CDF (64 entries up front) and extends it on demand, so
-    no draw is ever truncated: a uniform that falls past the cached prefix
-    grows the table until covered. Ratio recurrence
-    p_{k+1} = p_k q (k - alpha)/(k + 1) stays in the dual law directly.
+    Keeps one prefix CDF array (65 entries up front) and doubles it on
+    demand, so no draw is ever truncated: uniforms past the table grow it
+    until covered. Ratio recurrence p_{k+1} = p_k q (k - alpha)/(k + 1)
+    stays in the dual law directly; ``cumprod`` and ``cumsum`` both run in
+    sequence, so the table does not depend on how it was grown.
     """
 
     def __init__(self, d):
@@ -69,41 +69,30 @@ class DualOffspringSampler:
         self.lam = d.lam
         # pmf[0] = (1-lam)/q, pmf[1] = lam*alpha.
         self._pmf_last = d.lam * d.alpha
-        self._cdf = [(1.0 - d.lam) / self.q, (1.0 - d.lam) / self.q + self._pmf_last]
-        self._extend_to(64)
-        self._np_cdf = np.array(self._cdf)
+        p0 = (1.0 - d.lam) / self.q
+        self._cdf = np.array([p0, p0 + self._pmf_last])
+        self._exhausted = False
+        self._grow(63)
 
-    def _extend_to(self, n):
-        k = len(self._cdf) - 1
-        p = self._pmf_last
-        while len(self._cdf) < n + 1:
-            p *= self.q * (k - self.alpha) / (k + 1.0)
-            nxt = self._cdf[-1] + p
-            if p < _CDF_UNDERFLOW and nxt == self._cdf[-1]:
-                break
-            self._cdf.append(nxt)
-            k += 1
-        self._pmf_last = p
-
-    def sample(self, u):
-        """Offspring count for one uniform draw u in [0, 1)."""
-        if u >= self._cdf[-1]:
-            while u >= self._cdf[-1]:
-                before = len(self._cdf)
-                self._extend_to(2 * before)
-                if len(self._cdf) == before:
-                    return len(self._cdf) - 1
-            self._np_cdf = np.array(self._cdf)
-        return bisect.bisect_right(self._cdf, u)
+    def _grow(self, n):
+        """Append up to n entries; stop for good where they stop moving."""
+        k = np.arange(len(self._cdf) - 1, len(self._cdf) - 1 + n)
+        p = np.cumprod(np.concatenate(([self._pmf_last], self.q * (k - self.alpha) / (k + 1.0))))
+        cdf = np.cumsum(np.concatenate(([self._cdf[-1]], p[1:])))
+        stall = (p[1:] < _CDF_UNDERFLOW) & (cdf[1:] == cdf[:-1])
+        if stall.any():
+            n = int(stall.argmax())
+            self._exhausted = True
+        self._cdf = np.concatenate((self._cdf, cdf[1:n + 1]))
+        self._pmf_last = p[n]
 
     def sample_many(self, us):
-        """Vectorized inversion; falls back to scalar path for tail draws."""
-        idx = np.searchsorted(self._np_cdf, us, side="right")
-        hit = idx >= len(self._np_cdf)
-        if hit.any():
-            for j in np.nonzero(hit)[0]:
-                idx[j] = self.sample(float(us[j]))
-        return idx
+        """Offspring counts for uniform draws us in [0, 1); a draw past an
+        exhausted table gets its last index."""
+        while not self._exhausted and np.max(us, initial=0.0) >= self._cdf[-1]:
+            self._grow(len(self._cdf))
+        idx = np.searchsorted(self._cdf, us, side="right")
+        return np.minimum(idx, len(self._cdf) - 1, out=idx)
 
 
 # Replicates per stream block. Part of the reproducibility contract: a
@@ -248,29 +237,24 @@ def gof_compare(sim, law, bins=20):
     obs.append(n - head)
     exp = [n * p for p in pmf]
     exp.append(n * max(1.0 - sum(pmf), 0.0))
-    labels = [str(ell) for ell in range(1, bins + 1)] + ["tail"]
 
     # Pool right-to-left until every surviving cell expects at least 5.
-    pooled_obs, pooled_exp, pooled_labels = [], [], []
-    acc_o, acc_e, acc_l = 0.0, 0.0, []
-    for o, e, lab in zip(reversed(obs), reversed(exp), reversed(labels)):
+    pooled_obs, pooled_exp = [], []
+    acc_o, acc_e = 0.0, 0.0
+    for o, e in zip(reversed(obs), reversed(exp)):
         acc_o += o
         acc_e += e
-        acc_l.append(lab)
         if acc_e >= 5.0:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
-            pooled_labels.append("+".join(reversed(acc_l)))
-            acc_o, acc_e, acc_l = 0.0, 0.0, []
-    if acc_l:
+            acc_o, acc_e = 0.0, 0.0
+    if acc_e > 0.0:  # cells left over; ell = 1 always expects n/(1+lam) > 0
         if not pooled_obs:
             raise InsufficientData("cannot reach expected count 5 in any cell")
         pooled_obs[-1] += acc_o
         pooled_exp[-1] += acc_e
-        pooled_labels[-1] = "+".join(reversed(acc_l)) + "+" + pooled_labels[-1]
     pooled_obs.reverse()
     pooled_exp.reverse()
-    pooled_labels.reverse()
     if len(pooled_obs) < 2:
         raise InsufficientData("fewer than 2 cells after pooling")
 

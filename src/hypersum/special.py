@@ -1,6 +1,6 @@
 """Special-function kernel: Gauss hypergeometric evaluation, gamma-family
-helpers, the streaming k-ladder, the scaled modified Bessel function I_1,
-and large-parameter asymptotic approximants.
+helpers, the streaming k-ladder and large-parameter asymptotic
+approximants.
 
 Everything here is a pure function of its arguments; no global mutable state.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "gauss_point",
     "hyp2f1_large_k",
     "hyp2f1_ladder",
-    "bessel_i1_scaled",
 ]
 
 DEFAULT_TOL = 1e-14
@@ -56,9 +55,6 @@ class Method(enum.Enum):
     EulerTransform = "EulerTransform"
     ClosedForm = "ClosedForm"
     GaussPoint = "GaussPoint"
-    Asymptotic = "Asymptotic"
-    Quadrature = "Quadrature"
-    RootFind = "RootFind"
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,8 @@ class HypParams:
     x: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+            raise DomainError("a, b and c must be finite")
         # c at a pole of the Gamma prefactor makes the series undefined.
         if self.c <= 0 and self.c == int(self.c):
             raise DomainError("c must not be zero or a negative integer")
@@ -250,7 +248,7 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
     switching to connection formulas that would drag in Gamma-pole
     bookkeeping.
     """
-    if c <= 0:
+    if not c > 0:
         raise DomainError("require c > 0")
     if not chi <= 1.0:
         raise DomainError("require chi <= 1")
@@ -453,52 +451,3 @@ def hyp2f1_ladder(c, x, kmax):
         logs.append(lg)
         signs.append(sg)
     return logs, signs
-
-
-# ---------------------------------------------------------------------------
-# Modified Bessel function of the first kind, order 1, exponentially scaled.
-
-_BESSEL_SERIES_CUT = 20.0
-
-
-def _i_series(z):
-    """Ascending series of I_1(z)."""
-    h = 0.5 * z
-    term = h
-    out = term
-    m = 0
-    while True:
-        term *= h * h / ((m + 1.0) * (m + 2.0))
-        out += term
-        m += 1
-        if term <= 1e-17 * out or m > 500:
-            break
-    return out
-
-
-def _i_asym_scaled(z):
-    """e^{-z} I_1(z) by the large-argument expansion (z > 20)."""
-    mu = 4.0
-    term = 1.0
-    out = 1.0
-    prev = abs(term)
-    k = 0
-    while k < 60:
-        term *= ((2.0 * k + 1.0) ** 2 - mu) / ((k + 1.0) * 8.0 * z)
-        if abs(term) >= prev:
-            break  # asymptotic series: stop at the smallest term
-        out += term
-        prev = abs(term)
-        k += 1
-        if abs(term) <= 1e-17 * abs(out):
-            break
-    return out / math.sqrt(2.0 * math.pi * z)
-
-
-def bessel_i1_scaled(z):
-    """e^{-z} I_1(z), safe for arbitrarily large z."""
-    if z < 0:
-        raise DomainError("require z >= 0")
-    if z <= _BESSEL_SERIES_CUT:
-        return _i_series(z) * math.exp(-z)
-    return _i_asym_scaled(z)

@@ -79,7 +79,8 @@ class ClosedFormArgument:
         if p.eta == 1.0:
             star = None
         else:
-            star = (p.eta + 1.0) ** 2 / (p.eta - 1.0) ** 2
+            # One square of the quotient: (eta+1)**2 overflows past eta ~ 1e154.
+            star = ((p.eta + 1.0) / (p.eta - 1.0)) ** 2
         return cls(X=X, xi=xi, xi_star=star)
 
 
@@ -217,13 +218,22 @@ def _special_value(c, eta, x):
     x <= eta^2 range, including x < -eta, where this expression is the
     analytic continuation with the correct square-root branch. Regular at
     x = 0 and at R = 0 (the eta = sqrt(x) boundary) by construction.
+    sqrt(eta^2-x) is formed without eta^2, which overflows past eta ~ 1e154:
+    as hypot(eta, sqrt(-x)) for x <= 0 and as sqrt(eta) sqrt(eta - x/eta)
+    above, where an eta within the boundary tolerance below sqrt(x) counts
+    as on the boundary.
     """
-    R = math.sqrt((1.0 - x) * (eta * eta - x))
+    if x <= 0.0:
+        e = math.hypot(eta, math.sqrt(-x))
+    else:
+        e = math.sqrt(eta) * math.sqrt(max(eta - x / eta, 0.0))
+    R = math.sqrt(1.0 - x) * e
     if c == 1.0:
         return (1.0 + eta) / R
+    D = eta + x + R
     if c == 2.0:
-        return 2.0 * (1.0 + eta) / (eta + x + R)
-    return (4.0 / 3.0) * (1.0 + eta) * (eta + x + 2.0 * R) / (eta + x + R) ** 2
+        return 2.0 * (1.0 + eta) / D
+    return (4.0 / 3.0) * (1.0 + eta) / D * ((D + R) / D)
 
 
 def _finite(v, p):

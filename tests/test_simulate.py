@@ -5,8 +5,12 @@ Statistical assertions use fixed seeds, so they are deterministic; margins
 are 4 sigma where a sigma is meaningful.
 """
 
+import bisect
+import hashlib
 import math
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from hypersum.branching import (
@@ -62,33 +66,35 @@ class TestSampler:
 
     def test_inversion_brackets(self):
         s = DualOffspringSampler(OFFSPRING)
-        assert s.sample(0.0) == 0
-        assert s.sample(0.624999) == 0
-        assert s.sample(0.625001) == 1
-        assert s.sample(0.924999) == 1  # cdf[1] = 0.925
+        ks = s.sample_many(np.array([0.0, 0.624999, 0.625001, 0.924999]))
+        assert ks[0] == 0
+        assert ks[1] == 0
+        assert ks[2] == 1
+        assert ks[3] == 1  # cdf[1] = 0.925
 
     def test_tail_draw_extends_table(self):
         # At lam = 0.6 the prefix CDF already rounds to 1.0, so growth needs
         # a heavier dual tail: lam = 0.05 keeps visible mass past entry 64.
         s = DualOffspringSampler(ScaledSibuya(0.5, 0.05))
-        assert s.sample(0.999) > 64
+        assert s.sample_many(np.array([0.999]))[0] > 64
         assert len(s._cdf) > 65
 
     def test_underflow_stall_guard(self):
         # Far enough out the pmf increments stop moving the float CDF; the
         # sampler must return the last covered index, not loop forever.
         s = DualOffspringSampler(ScaledSibuya(0.5, 0.05))
-        k = s.sample(math.nextafter(1.0, 0.0))
+        k = s.sample_many(np.array([math.nextafter(1.0, 0.0)]))[0]
         assert k == len(s._cdf) - 1
         assert s._cdf[-1] < 1.0
 
     def test_sample_many_matches_scalar(self):
-        s1 = DualOffspringSampler(OFFSPRING)
-        s2 = DualOffspringSampler(OFFSPRING)
+        # One draw at a time against an inversion built here from the dual
+        # pmf: the number of cumulative masses at or below u.
+        s = DualOffspringSampler(OFFSPRING)
         us = _block_stream(7, 0).random(500)
-        batch = s1.sample_many(us)
-        singles = [s2.sample(float(u)) for u in us]
-        assert list(batch) == singles
+        cdf = list(accumulate(dual_offspring_pmf(OFFSPRING, k) for k in range(200)))
+        singles = [bisect.bisect_right(cdf, u) for u in us]
+        assert list(s.sample_many(us)) == singles
 
     def test_frequencies(self):
         # 2e5 draws: p0 = 0.625, p1 = 0.3, margins at 4 sigma.
@@ -113,6 +119,26 @@ class TestReproducibility:
         a = simulate_total_progeny(OFFSPRING, SimConfig(seed=314, replicates=5000))
         b = simulate_total_progeny(OFFSPRING, SimConfig(seed=315, replicates=5000))
         assert a.counts != b.counts
+
+    @pytest.mark.parametrize("alpha, lam, seed, n, ell123, distinct, top, digest", [
+        (0.5, 0.6, 42, 100_000, [62517, 18628, 7647], 46, 55, "a514c4c657edc027"),
+        (0.9, 0.8, 7, 20_000, [4517, 3280, 2314], 248, 984, "731d6c3e94225d46"),
+        # lam = 0.05 grows the sampler's CDF table past its first 65 entries.
+        (0.5, 0.05, 3, 20_000, [19051, 468, 126], 96, 2443, "7bec41cb207a4ff1"),
+    ])
+    def test_frozen_seeded_outputs(self, alpha, lam, seed, n, ell123, distinct, top, digest):
+        # Frozen outputs at cap 1e5: counts at ell = 1, 2, 3, the number of
+        # distinct totals, the largest total and a SHA-256 prefix of
+        # repr(sorted(counts.items())). Any change to the sampler table,
+        # the stream layout or the block stepping shows here.
+        sim = simulate_total_progeny(ScaledSibuya(alpha, lam),
+                                     SimConfig(seed=seed, replicates=n, progeny_cap=100_000))
+        items = sorted(sim.counts.items())
+        assert sim.censored == 0
+        assert [sim.counts.get(ell, 0) for ell in (1, 2, 3)] == ell123
+        assert len(items) == distinct
+        assert items[-1][0] == top
+        assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
 
     def test_worker_count_is_invisible(self):
         one = simulate_total_progeny(OFFSPRING, SimConfig(seed=77, replicates=20_000, workers=1))

@@ -13,7 +13,6 @@ from hypersum.special import (
     EvalResult,
     HypParams,
     Method,
-    bessel_i1_scaled,
     default_max_terms,
     gauss_point,
     hyp2f1_half_one,
@@ -63,6 +62,13 @@ class TestSeries:
     def test_nan_argument_rejected(self):
         with pytest.raises(DomainError):
             hyp2f1_series(HypParams(0.5, 1.0, 2.0, math.nan))
+        # nan in a, b or c would otherwise run the full term cap.
+        with pytest.raises(DomainError):
+            hyp2f1_series(HypParams(math.nan, 1.0, 2.0, 0.5))
+        with pytest.raises(DomainError):
+            hyp2f1_series(HypParams(0.5, math.nan, 2.0, 0.5))
+        with pytest.raises(DomainError):
+            hyp2f1_series(HypParams(0.5, 1.0, math.nan, 0.5))
 
     def test_c_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -132,6 +138,8 @@ class TestHalfOneDispatch:
         # c = 2 has a closed form that would carry the nan through.
         with pytest.raises(DomainError):
             hyp2f1_half_one(2.0, math.nan)
+        with pytest.raises(DomainError):
+            hyp2f1_half_one(math.nan, 0.5)
 
 
 class TestLadder:
@@ -212,31 +220,6 @@ class TestLargeK:
             hyp2f1_large_k(100, 2.0, 0.0)
         with pytest.raises(DomainError):
             hyp2f1_large_k(100, 2.0, 1.0)
-
-
-class TestBessel:
-    def test_reference_values(self):
-        # besseli(1, z) * exp(-z) at 50 digits
-        assert bessel_i1_scaled(2.0) == pytest.approx(0.21526928924893765916, rel=1e-13)
-        # 25.5 sits past the series/asymptotic crossover
-        assert bessel_i1_scaled(25.5) == pytest.approx(0.077825789091938575467, rel=1e-13)
-        assert bessel_i1_scaled(600.0) == pytest.approx(
-            0.016276565868339667449, rel=1e-12)
-
-    def test_at_zero(self):
-        assert bessel_i1_scaled(0.0) == 0.0
-
-    def test_scaled_consistency(self):
-        import mpmath as mp
-
-        for z in (0.5, 5.0, 19.9, 20.1, 80.0):
-            ref = float(mp.besseli(1, z) * mp.exp(-z))
-            assert bessel_i1_scaled(z) == pytest.approx(ref, rel=1e-12)
-
-    def test_huge_argument_overflow_policy(self):
-        assert 0.0 < bessel_i1_scaled(800.0) < 1.0
-        with pytest.raises(DomainError):
-            bessel_i1_scaled(-1.0)
 
 
 class TestEvalResult:

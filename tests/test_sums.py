@@ -262,6 +262,29 @@ class TestSumSpecial:
         assert sum_special(SumParams(0.5, 2.0, 0.25)).value == pytest.approx(
             2.0 * 1.5 / 0.75, rel=1e-14)
 
+    def test_eta_just_inside_boundary_tolerance(self):
+        # eta a hair below sqrt(x) is classified as on the boundary; the
+        # special form treats it as there instead of taking sqrt(< 0). On
+        # the boundary S(sqrt(x), 2; x) = 2/sqrt(x), S(sqrt(x), 3; x) = 4/(3 sqrt(x)).
+        eta = math.sqrt(0.5) * (1.0 - 1e-13)
+        assert convergence_check(SumParams(eta, 2.0, 0.5)).on_boundary
+        assert sum_special(SumParams(eta, 2.0, 0.5)).value == pytest.approx(
+            2.0 / math.sqrt(0.5), rel=1e-12)
+        assert sum_special(SumParams(eta, 3.0, 0.5)).value == pytest.approx(
+            4.0 / 3.0 / math.sqrt(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [1e150, 1e160, 1e300])
+    def test_huge_eta_routes_agree(self, eta):
+        # eta^2 is past the largest double from eta ~ 1.3e154 on; no route
+        # may form it.
+        for c in (1.0, 2.0, 3.0):
+            for x in (-0.5, 0.5):
+                p = SumParams(eta, c, x)
+                ref = sum_closed(p).value
+                assert sum_special(p).value == pytest.approx(ref, rel=1e-13, abs=0)
+                assert evaluate(p).value == pytest.approx(ref, rel=1e-13, abs=0)
+        assert ClosedFormArgument.from_params(SumParams(eta, 2.0, 0.5)).xi_star == 1.0
+
 
 class TestEvaluate:
     def test_auto_prefers_closed(self):
