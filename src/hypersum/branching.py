@@ -9,12 +9,14 @@ circular.
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+
+import numpy as np
 
 from .errors import DomainError, QuadratureFailure, RootFindFailure
 from .special import (
+    _LN2,
     _g_seed,
-    _ladder,
+    _ladder_upto,
     hyp2f1_half_one,
 )
 
@@ -128,6 +130,10 @@ class ProgenyHalfLaw:
             raise DomainError("require 0 < lam < 1")
         object.__setattr__(self, "Q", 1.0 - self.lam * self.lam)
         rq = math.sqrt(self.Q)
+        if rq == 1.0:
+            # lam below about 7.45e-9: 1 - lam^2 rounds to 1, so z_plus
+            # would divide by zero and Q would leave the ladder's x < 1.
+            raise DomainError("lam = %g is too small: 1 - lam^2 rounds to 1" % self.lam)
         object.__setattr__(self, "z_minus", 2.0 / (1.0 + rq))
         object.__setattr__(self, "z_plus", 2.0 / (1.0 - rq))
 
@@ -138,14 +144,14 @@ class ProgenyHalfLaw:
         return cls(lam=math.sqrt(1.0 - Q))
 
 
-def _ladder_log(c, x, k):
-    """(log|G_k|, sign) for G_k = 2F1((k+1)/2, (k+2)/2; c; x)."""
+def _ladder_point(c, x, k):
+    """(frac, exp) with G_k = frac * 2**exp for G_k = 2F1((k+1)/2, (k+2)/2; c; x):
+    the seed series for k <= 150, the ladder above."""
     if k <= 150:
-        g = _g_seed(k, c, x)
-        if g == 0.0:
-            return -math.inf, 1.0
-        return math.log(abs(g)), (1.0 if g > 0.0 else -1.0)
-    return next(islice(_ladder(c, x), k, None))
+        return math.frexp(_g_seed(k, c, x))
+    for _, frac, exp in _ladder_upto(c, x, k + 1):
+        pass
+    return float(frac[-1]), int(exp[-1])
 
 
 def _positive_int(n, name):
@@ -157,17 +163,20 @@ def _positive_int(n, name):
 def progeny_pmf(law, ell):
     """P(total progeny = ell) = 2^-ell (1-Q)^(ell-1) G_(ell-1)(2; Q)."""
     ell = _positive_int(ell, "ell")
-    lg, sg = _ladder_log(2.0, law.Q, ell - 1)
-    lp = -ell * math.log(2.0) + (ell - 1) * 2.0 * math.log(law.lam) + lg
-    return sg * math.exp(lp)
+    frac, exp = _ladder_point(2.0, law.Q, ell - 1)
+    # The power 2^-ell joins G's exponent as an integer.
+    return frac * math.exp((ell - 1) * (2.0 * math.log(law.lam)) + (exp - ell) * _LN2)
 
 
 def progeny_pmf_range(law, lmax):
     """P(total progeny = ell) for ell = 1..lmax, one ladder sweep."""
     lmax = _positive_int(lmax, "lmax")
     llam2 = 2.0 * math.log(law.lam)
-    return [sg * math.exp(-ell * math.log(2.0) + (ell - 1) * llam2 + lg)
-            for ell, (lg, sg) in zip(range(1, lmax + 1), _ladder(2.0, law.Q))]
+    out = []
+    # k = ell - 1 on each ladder block.
+    for k, frac, exp in _ladder_upto(2.0, law.Q, lmax):
+        out += (frac * np.exp(k * llam2 + (exp - k - 1) * _LN2)).tolist()
+    return out
 
 
 def progeny_pgf_elementary(law, z):
@@ -291,9 +300,10 @@ class GeneralProgenyLaw:
 
 def general_progeny_log_pmf(law, ell):
     ell = _positive_int(ell, "ell")
-    lg, sg = _ladder_log(law.c, law.x, ell - 1)
-    if sg < 0.0:
+    frac, exp = _ladder_point(law.c, law.x, ell - 1)
+    if frac < 0.0:
         raise DomainError("negative mass at ell = %d (invalid parameters)" % ell)
+    lg = math.log(frac) + exp * _LN2 if frac else -math.inf
     rx = math.sqrt(law.x)
     return (math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
             + (ell - 1) * math.log1p(-rx) + lg)
@@ -308,8 +318,11 @@ def general_progeny_pmf_range(law, lmax):
     lmax = _positive_int(lmax, "lmax")
     lpref = math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
     l1mrx = math.log1p(-math.sqrt(law.x))
-    return [sg * math.exp(lpref + (ell - 1) * l1mrx + lg)
-            for ell, (lg, sg) in zip(range(1, lmax + 1), _ladder(law.c, law.x))]
+    out = []
+    # k = ell - 1 on each ladder block.
+    for k, frac, exp in _ladder_upto(law.c, law.x, lmax):
+        out += (frac * np.exp(lpref + k * l1mrx + exp * _LN2)).tolist()
+    return out
 
 
 @dataclass(frozen=True)

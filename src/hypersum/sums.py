@@ -4,10 +4,11 @@ closed forms, special cases, and the geometric-weight variant sum.
 S(eta, c; x) = sum_{k>=0} ((1-x)/(1+eta))^k * 2F1(k/2+1/2, k/2+1; c; x).
 
 Direct summation (and the direct variant sum) reads the inner functions
-from special._ladder, the one streaming stride-2 recurrence ladder in log
-space; the closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
-X = (x+eta)/(1+eta). The two paths share no evaluation code, so they can
-check each other.
+from special._ladder, the one streaming stride-2 recurrence ladder, which
+gives each G_k as a float times an integer power of two; a term is that
+float times exp(k log w + e ln 2) for weight w. The closed form routes
+through 2F1(1/2, 1; c; xi) with xi = x/X^2, X = (x+eta)/(1+eta). The two
+paths share no evaluation code, so they can check each other.
 """
 
 import enum
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NotConvergent, SlowConvergence
 from .special import (
+    _LN2,
     DEFAULT_TOL,
     EvalResult,
     Method,
-    _ladder,
+    _ladder_steps,
     default_max_terms,
     gauss_point,
     hyp2f1_half_one,
@@ -141,10 +143,11 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     """S(eta, c; x) by term-wise summation.
 
     The inner hypergeometric values are streamed from the stride-2
-    recurrence ladder special._ladder (exact contiguous relation,
-    log-scaled), one step per term, so large k costs neither
-    overflow nor the accuracy of a truncated asymptotic. Terms are added
-    until the absolute term stays below ``tol`` for three consecutive k.
+    recurrence ladder special._ladder (exact contiguous relation, each
+    value a float times an integer power of two), one step per term, so
+    large k costs neither overflow nor the accuracy of a truncated
+    asymptotic. Terms are added until the absolute term stays below ``tol``
+    for three consecutive k.
 
     On a Theorem-type convergence boundary the terms decay only like
     k^(1/2-c); the sum then runs to ``max_terms`` and an integral-comparison
@@ -174,15 +177,17 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     t = 0.0
     stopped = False
     k_stop = 0
-    for k, (lg, sg) in zip(range(max_terms + 1), _ladder(p.c, p.x)):
-        lt = k * lw + lg
+    for k, (f, e) in zip(range(max_terms + 1), _ladder_steps(p.c, p.x)):
+        lt = k * lw + e * _LN2
         if lt > 709.0:
-            t = sg * math.inf
+            # Past double range: a term the direct sum can only call infinite.
+            t = math.copysign(math.inf, f) if f else 0.0
         else:
-            t = sg * math.exp(lt) if lt > -745.0 else 0.0
+            t = f * math.exp(lt)
         s += t
-        sum_abs += abs(t)
-        if abs(t) < tol:
+        a = abs(t)
+        sum_abs += a
+        if a < tol:
             small += 1
             if small >= 3 and k > 2:
                 stopped = True
@@ -211,6 +216,16 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
                       terms_used=k_stop + 1, method=Method.Series)
 
 
+def _two_square(a):
+    """(hi, lo) with hi + lo = a*a exactly: Dekker's product on Veltkamp's
+    split of a. Exact for |a| between about 1e-146 and 1e150."""
+    hi = a * a
+    t = 134217729.0 * a           # 2^27 + 1
+    ah = t - (t - a)
+    al = a - ah
+    return hi, ((ah * ah - hi) + 2.0 * ah * al) + al * al
+
+
 def _special_value(c, eta, x):
     """Elementary S for c in {1,2,3}, conjugate-root form.
 
@@ -218,15 +233,20 @@ def _special_value(c, eta, x):
     x <= eta^2 range, including x < -eta, where this expression is the
     analytic continuation with the correct square-root branch. Regular at
     x = 0 and at R = 0 (the eta = sqrt(x) boundary) by construction.
-    sqrt(eta^2-x) is formed without eta^2, which overflows past eta ~ 1e154:
-    as hypot(eta, sqrt(-x)) for x <= 0 and as sqrt(eta) sqrt(eta - x/eta)
-    above, where an eta within the boundary tolerance below sqrt(x) counts
-    as on the boundary.
+    sqrt(eta^2-x) is formed as hypot(eta, sqrt(-x)) for x <= 0. Above, next
+    to the eta = sqrt(x) boundary eta^2 - x cancels, so it is formed from
+    the exact square hi + lo of eta, where hi - x is exact; an eta within
+    the boundary tolerance below sqrt(x) counts as on the boundary. eta^2
+    overflows past eta ~ 1e154, far from the boundary, where
+    sqrt(eta) sqrt(eta - x/eta) does not cancel.
     """
     if x <= 0.0:
         e = math.hypot(eta, math.sqrt(-x))
+    elif eta < 1e150:
+        hi, lo = _two_square(eta)
+        e = math.sqrt(max((hi - x) + lo, 0.0))
     else:
-        e = math.sqrt(eta) * math.sqrt(max(eta - x / eta, 0.0))
+        e = math.sqrt(eta) * math.sqrt(eta - x / eta)
     R = math.sqrt(1.0 - x) * e
     if c == 1.0:
         return (1.0 + eta) / R
@@ -253,8 +273,9 @@ def sum_closed(p):
     * x < -eta (X < 0, only reachable for eta < 1): the naive 1/X route
       picks the wrong square-root branch, so the elementary c in {1,2,3}
       continuations are returned with ``continuation=True``; other c raise.
-    * xi = 1 (x = 1 or x = eta^2): the unit-argument Gauss value, c > 3/2
-      only.
+    * xi = 1 (x = 1 or x = eta^2, or eta on the boundary by
+      convergence_check, just below sqrt(x)): the unit-argument Gauss
+      value, c > 3/2 only.
 
     A value past the largest double (eta below about 1e-308) raises
     ``OverflowError``.
@@ -276,8 +297,9 @@ def sum_closed(p):
             "x < -eta continuation is only available in elementary form (c in {1,2,3})")
     xi = x / X / X
     # x = eta^2 puts xi at 1 exactly in real arithmetic, but the float
-    # quotient lands a couple ulp to either side; treat that as 1.
-    if abs(xi - 1.0) <= 4e-16:
+    # quotient lands a couple ulp to either side; treat that as 1. So is an
+    # eta that convergence_check puts on the boundary from below.
+    if abs(xi - 1.0) <= 4e-16 or (xi > 1.0 and c > 1.5 and convergence_check(p).on_boundary):
         xi = 1.0
     if xi > 1.0:
         raise DomainError("closed form needs xi = x/X^2 <= 1, got %g" % xi)
@@ -363,9 +385,8 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     s = 0.0
     small = 0
     # The inner function at index k is the ladder value at k - 1.
-    for k, (lg, sg) in zip(range(1, max_terms + 1), _ladder(c, x)):
-        lt = k * lz + lg
-        t = sg * math.exp(lt) if lt > -745.0 else 0.0
+    for k, (f, e) in zip(range(1, max_terms + 1), _ladder_steps(c, x)):
+        t = f * math.exp(k * lz + e * _LN2)
         s += t
         if abs(t) < tol:
             small += 1

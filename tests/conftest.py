@@ -1,6 +1,8 @@
 """Shared test helpers: high-precision reference evaluations and the
 acceptance-criteria summary block."""
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -44,6 +46,21 @@ def mp_ladder(c, x, kmax, dps=60):
             A = (-(c - a - 1) + (c - a - b - 1) * Et / (a * D * (c - a - b + 1))) / (b * D)
             vals.append(A * vals[k - 2] + B * vals[k - 4])
         return vals
+
+
+def ladder_block_edges(c, kmax):
+    """Indices k <= kmax at which the float ladder starts a new block: after
+    the series seeds, then block sizes doubling from the first."""
+    from hypersum.special import _FIRST_BLOCK, _MAX_BLOCK
+
+    k = max(4, math.ceil(c + 1.5) + 1) + 2
+    n = _FIRST_BLOCK
+    edges = []
+    while k <= kmax:
+        edges.append(k)
+        k += n
+        n = min(2 * n, _MAX_BLOCK)
+    return edges
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,8 @@ from hypersum.branching import (
 )
 from hypersum.errors import DomainError, RootFindFailure
 
+from conftest import ladder_block_edges
+
 
 def survival_exact(d, K):
     """P(offspring > K) in closed form: lam * (1-alpha)_K / K!."""
@@ -152,6 +154,12 @@ class TestProgenyHalfLaw:
         with pytest.raises(DomainError):
             ProgenyHalfLaw.from_extinction_prob(1.0)
 
+    @pytest.mark.parametrize("lam", [1e-9, 7e-9])
+    def test_tiny_lambda_is_a_domain_error(self, lam):
+        # 1 - lam^2 rounds to 1, which would put z_plus at 2/0.
+        with pytest.raises(DomainError):
+            ProgenyHalfLaw(lam)
+
     def test_reference_values(self):
         # lam = 0.6, mpmath at 40 digits
         law = ProgenyHalfLaw(0.6)
@@ -167,6 +175,32 @@ class TestProgenyHalfLaw:
         rng = progeny_pmf_range(law, 1000)
         for ell in (1, 2, 17, 40, 151, 152, 1000):
             assert rng[ell - 1] == pytest.approx(progeny_pmf(law, ell), rel=1e-13)
+
+    @pytest.mark.parametrize("ell", [20_000, 30_000])
+    def test_long_range_accuracy(self, ell):
+        # 2^-ell lam^(2(ell-1)) G_(ell-1)(2; Q) at 40 digits, with the
+        # law's own float Q. A float log offset summed over the ladder's
+        # rescales drifted to 1.2e-10 here.
+        import mpmath as mp
+
+        law = ProgenyHalfLaw(0.2)
+        k = ell - 1
+        with mp.workdps(40):
+            ref = (mp.mpf(2) ** -ell * mp.mpf(law.lam) ** (2 * k)
+                   * mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, 2, law.Q))
+        for v in (progeny_pmf(law, ell), progeny_pmf_range(law, ell)[ell - 1]):
+            assert abs(v - ref) <= 2e-11 * ref
+
+    def test_range_across_block_edges(self):
+        # Every prefix length around the first ladder blocks gives the same
+        # values, and each equals its point query.
+        law = ProgenyHalfLaw(0.7)
+        full = progeny_pmf_range(law, 300)
+        for n in ladder_block_edges(2.0, 300):
+            for m in (n - 1, n, n + 1):
+                assert progeny_pmf_range(law, m) == full[:m]
+        for ell in range(1, 301):
+            assert full[ell - 1] == pytest.approx(progeny_pmf(law, ell), rel=1e-13, abs=0)
 
     def test_bad_ell(self):
         law = ProgenyHalfLaw(0.6)
@@ -305,6 +339,15 @@ class TestGeneralProgenyLaw:
         rng = general_progeny_pmf_range(law, 1000)
         for ell in (1, 13, 30, 151, 152, 1000):
             assert rng[ell - 1] == pytest.approx(general_progeny_pmf(law, ell), rel=1e-12)
+
+    def test_range_across_block_edges(self):
+        law = GeneralProgenyLaw(3.7, 0.6)
+        full = general_progeny_pmf_range(law, 300)
+        for n in ladder_block_edges(3.7, 300):
+            for m in (n - 1, n, n + 1):
+                assert general_progeny_pmf_range(law, m) == full[:m]
+        for ell in range(1, 301):
+            assert full[ell - 1] == pytest.approx(general_progeny_pmf(law, ell), rel=1e-12, abs=0)
 
     def test_mass_when_tail_is_negligible(self):
         # c = 5 decays like ell^(-4.5); past 4000 the remainder is ~1e-13.

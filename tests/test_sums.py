@@ -161,6 +161,19 @@ class TestSumDirect:
         with pytest.raises(SlowConvergence):
             sum_direct(SumParams(0.43, 2.0, 0.16), max_terms=10)
 
+    def test_tiny_eta_keeps_weight_out_of_the_ladder(self):
+        # S(eta, c; 0) = (1+eta)/eta; at eta = 1e-3 the sum runs 32,256
+        # terms. Rounding w^2 once into the recurrence and applying it k/2
+        # times would cost 1.4e-9 here.
+        r = sum_direct(SumParams(1e-3, 2.0, 0.0))
+        assert abs(r.value - 1001.0) <= 1e-10
+
+    def test_override_terms_past_double_range(self):
+        # Terms of the divergent sum leave double range long before 3,000.
+        r = sum_direct(SumParams(0.3, 2.0, 0.5), max_terms=3000, override_divergence=True)
+        assert r.value == math.inf
+        assert r.abs_error_estimate == math.inf
+
     def test_error_estimate_covers_truth(self):
         for eta, c, x in ((1.3, 1.7, 0.8), (1.3, 3.2, -0.6), (2.0, 1.7, 0.3),
                           (2.0, 3.2, 0.8), (1.0, 2.5, -0.95)):
@@ -224,6 +237,25 @@ class TestSumClosed:
         with pytest.raises(DomainError):
             sum_closed(SumParams(0.5, 2.0, 0.3))
 
+    @pytest.mark.parametrize("c", [2.0, 2.5, 3.0])
+    def test_boundary_from_below_takes_gauss_point(self, c):
+        # eta a hair below sqrt(x) is on the boundary by convergence_check,
+        # and xi lands just above 1.
+        p = SumParams(math.sqrt(0.5) * (1.0 - 1e-13), c, 0.5)
+        X = ClosedFormArgument.from_params(p).X
+        gauss = math.gamma(c) * math.gamma(c - 1.5) / (math.gamma(c - 0.5) * math.gamma(c - 1.0))
+        for r in (sum_closed(p), evaluate(p)):
+            assert r.method is Method.GaussPoint
+            assert r.value == pytest.approx(gauss / X, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_boundary_from_below_small_c_stays_typed(self, c):
+        p = SumParams(math.sqrt(0.5) * (1.0 - 1e-13), c, 0.5)
+        with pytest.raises(DomainError):
+            sum_closed(p)
+        with pytest.raises(NotConvergent):
+            evaluate(p)
+
     def test_xi_one_needs_large_c(self):
         # x = eta^2 lands exactly on xi = 1.
         with pytest.raises(DomainError):
@@ -272,6 +304,19 @@ class TestSumSpecial:
             2.0 / math.sqrt(0.5), rel=1e-12)
         assert sum_special(SumParams(eta, 3.0, 0.5)).value == pytest.approx(
             4.0 / 3.0 / math.sqrt(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("rel", [1e-10, 1e-7])
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+    def test_next_to_positive_boundary_within_estimate(self, c, rel):
+        # eta^2 - x cancels to rel of eta^2 here; against 50 digits.
+        import mpmath as mp
+
+        eta, x = 0.7 * (1.0 + rel), 0.49
+        r = sum_special(SumParams(eta, c, x))
+        with mp.workdps(50):
+            X = (mp.mpf(x) + eta) / (1 + mp.mpf(eta))
+            ref = mp.hyp2f1(0.5, 1, c, x / X ** 2) / X
+        assert abs(r.value - ref) <= r.abs_error_estimate
 
     @pytest.mark.parametrize("eta", [1e150, 1e160, 1e300])
     def test_huge_eta_routes_agree(self, eta):
