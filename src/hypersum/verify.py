@@ -357,6 +357,12 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
+    """Run one suite by name. Its record carries its wall time in
+    ``seconds``; theorem1 and montecarlo time themselves, because their
+    pass rules use it."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
-    return SUITES[name](**kwargs)
+    t0 = time.perf_counter()
+    record = SUITES[name](**kwargs)
+    record.setdefault("seconds", round(time.perf_counter() - t0, 3))
+    return record

@@ -48,6 +48,56 @@ def mp_ladder(c, x, kmax, dps=60):
         return vals
 
 
+def ref_series_sum(a, b, c, x, tol, max_terms):
+    """Scalar reference for special._series_sum: one plain loop over every
+    term, the form the blocked series must reproduce bit for bit. The tail
+    estimate adds the rounding floor 4 eps sum|t| over the terms used."""
+    huge = 1e250
+    ln2 = math.log(2.0)
+    off = 0.0
+    acc = 1.0
+    term = 1.0
+    mass = 1.0
+    ratio = 0.0
+    small = 0
+    n = 0
+    while n < max_terms:
+        ratio = (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+        term *= ratio
+        acc += term
+        n += 1
+        at = abs(term)
+        aa = abs(acc)
+        mass += at
+        if at <= tol * aa:
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+        if at > huge or aa > huge:
+            e = math.frexp(max(at, aa))[1]
+            sc = math.ldexp(1.0, -e)
+            term *= sc
+            acc *= sc
+            mass *= sc
+            off += e * ln2
+    converged = small >= 2
+    r = min(abs(x), 0.999999)
+    r = max(r, min(abs(ratio), 0.999999))
+    tail = abs(term) * r / (1.0 - r) + 4.0 * 2.220446049250313e-16 * mass
+    if off == 0.0:
+        return acc, tail, n + 1, converged
+    sign = 1.0 if acc >= 0 else -1.0
+    lv = off + math.log(abs(acc)) if acc != 0.0 else -math.inf
+    value = sign * math.exp(lv)
+    try:
+        tail = math.exp(off + math.log(tail)) if tail > 0.0 else 0.0
+    except OverflowError:
+        tail = math.inf
+    return value, tail, n + 1, converged
+
+
 def ladder_block_edges(c, kmax):
     """Indices k <= kmax at which the float ladder starts a new block: after
     the series seeds, then block sizes doubling from the first."""

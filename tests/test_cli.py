@@ -225,6 +225,11 @@ class TestVerifyCommand:
         assert rec["pass"] is True
         assert rec["status"] == "ok"
 
+    def test_suite_record_has_seconds(self):
+        # Every suite is timed, not only the two whose pass rules use it.
+        rec = json_lines(run_cli("verify", "--suite", "theorem2"))[0]
+        assert isinstance(rec["seconds"], float) and 0.0 <= rec["seconds"] < 1e6
+
 
     def test_failing_suite_exits_4(self):
         # A wrong Gauss-point value makes the closed-forms verdict a numpy

@@ -5,11 +5,15 @@ with the expression that generated it.
 """
 
 import math
+import random
 
 import pytest
 
 from hypersum.errors import DomainError, NonConvergent
 from hypersum.special import (
+    _LOOP_TERMS,
+    _SERIES_FIRST_BLOCK,
+    DEFAULT_TOL,
     EvalResult,
     HypParams,
     Method,
@@ -19,9 +23,11 @@ from hypersum.special import (
     hyp2f1_ladder,
     hyp2f1_large_k,
     hyp2f1_series,
+    _ladder_seeds,
+    _series_sum,
 )
 
-from conftest import ladder_block_edges, mp_ladder
+from conftest import ladder_block_edges, mp_hyp2f1, mp_ladder, ref_series_sum
 
 
 class TestSeries:
@@ -75,6 +81,111 @@ class TestSeries:
             HypParams(0.5, 1.0, 0.0, 0.3)
         with pytest.raises(DomainError):
             HypParams(0.5, 1.0, -2.0, 0.3)
+
+
+def _tol_stopping_at(n, a=0.5, b=1.0, c=2.5, x=0.97):
+    """A tol at which the reference series (a, b; c; x) stops after exactly
+    n term ratios, found by bisection on log10 tol."""
+    lo, hi = -30.0, -3.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        used = ref_series_sum(a, b, c, x, 10.0 ** mid, 10 ** 6)[2] - 1
+        if used == n:
+            return 10.0 ** mid
+        if used > n:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("no tol stops the series at %d terms" % n)
+
+
+def _same_outcome(args):
+    """_series_sum and the scalar reference give the same tuple bit for bit,
+    or raise the same exception type."""
+    try:
+        want = ref_series_sum(*args)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _series_sum(*args)
+        return None
+    got = _series_sum(*args)
+    assert got == want, args
+    return got
+
+
+class TestSeriesBlocks:
+    """A series longer than _LOOP_TERMS goes on in numpy blocks; every
+    result must be the plain loop's bit for bit."""
+
+    @pytest.mark.parametrize("past", [-1, 0, 1, 2, _SERIES_FIRST_BLOCK + 1])
+    def test_stop_around_the_switch(self, past):
+        # past = 1 stops on the first block column through the small term
+        # carried in from the loop; the last case does the same on the
+        # first column of the second block.
+        n = _LOOP_TERMS + past
+        args = (0.5, 1.0, 2.5, 0.97, _tol_stopping_at(n), 10 ** 6)
+        got = _same_outcome(args)
+        assert got[2] == n + 1 and got[3]
+
+    @pytest.mark.parametrize("cap", [_LOOP_TERMS - 1, _LOOP_TERMS, _LOOP_TERMS + 1,
+                                     _LOOP_TERMS + 100, _LOOP_TERMS + _SERIES_FIRST_BLOCK + 700])
+    def test_term_cap_inside_a_block(self, cap):
+        got = _same_outcome((0.5, 1.0, 0.6, 0.99999, 1e-14, cap))
+        assert got[2] == cap + 1 and not got[3]
+
+    def test_rescale_after_the_switch(self):
+        # The terms first pass 1e250 at n = 36,645, long after the switch,
+        # and peak near 1e262.
+        got = _same_outcome((40.0, 40.0, 0.5, 0.999, 1e-14, 2_000_000))
+        assert got[0] > 1e260 and got[2] > 100_000 and got[3]
+
+    def test_overflow_and_cap_cases(self):
+        # The partial sums pass 1e308: rescaled in blocks, then OverflowError.
+        _same_outcome((300.0, 300.0, 1.0, 0.99, DEFAULT_TOL, 100_000))
+        _same_outcome((50.0, 60.0, 0.5, 0.999, DEFAULT_TOL, 100_000))
+        # Runs to its cap unconverged (hyp2f1_series raises NonConvergent).
+        got = _same_outcome((0.5, 1.0, 0.6, 1.0 - 1e-6, DEFAULT_TOL, 2_000_000))
+        assert not got[3]
+        with pytest.raises(NonConvergent):
+            hyp2f1_series(HypParams(0.5, 1.0, 0.6, 1.0 - 1e-6), max_terms=5_000)
+
+    def test_seeded_calls(self):
+        rng = random.Random(8)
+        for i in range(120):
+            tol = rng.choice([1e-10, 1e-14, 1e-17])
+            cap = rng.choice([100_000, rng.randint(1, 5_000)])
+            if i % 3 == 0:
+                args = (rng.uniform(0.1, 3), rng.uniform(0.1, 3), rng.uniform(0.2, 8),
+                        1.0 - 10 ** rng.uniform(-4, -1.5))
+            elif i % 3 == 1:
+                args = (rng.uniform(0.1, 3), rng.uniform(0.1, 3), rng.uniform(0.2, 8),
+                        -1.0 + 10 ** rng.uniform(-4, -1.5))
+            else:
+                a = rng.uniform(50, 300)
+                args = (a, a + 0.5, rng.uniform(0.5, 5), rng.uniform(0.9, 0.999))
+            _same_outcome(args + (tol, cap))
+
+
+class TestLadderSeeds:
+    @pytest.mark.parametrize("c", [0.6, 2.5, 5.9, 50.0])
+    @pytest.mark.parametrize("x", [-0.95, -0.3, 0.3, 0.9, 0.99])
+    def test_one_pass_matches_mpmath(self, c, x):
+        # c = 2.5 puts the step coefficients' pole at k = 2.
+        import mpmath as mp
+
+        rows = max(4, math.ceil(c + 1.5) + 1) + 2
+        seeds = _ladder_seeds(c, x, rows)
+        assert len(seeds) == rows
+        with mp.workdps(40):
+            for k, v in enumerate(seeds):
+                ref = mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, mp.mpf(c), mp.mpf(x))
+                assert abs(v - ref) <= 2e-14 * abs(ref), (k, v, ref)
+
+    def test_stall_and_overflow_are_typed(self):
+        with pytest.raises(NonConvergent):
+            _ladder_seeds(2.0, 1.0 - 1e-8, 6)
+        with pytest.raises(OverflowError):
+            _ladder_seeds(2000.0, 0.99, 2004)
 
 
 class TestGaussPoint:
@@ -140,6 +251,21 @@ class TestHalfOneDispatch:
             hyp2f1_half_one(2.0, math.nan)
         with pytest.raises(DomainError):
             hyp2f1_half_one(math.nan, 0.5)
+
+    def test_estimate_has_a_rounding_floor(self):
+        # Off by 2.2e-16 after 10 terms; the geometric tail alone was 2e-20.
+        r = hyp2f1_half_one(0.957, 0.0125)
+        ref = mp_hyp2f1(0.5, 1.0, 0.957, 0.0125, dps=40)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+
+    def test_estimate_bounds_error_on_a_grid(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            c = rng.uniform(0.3, 8.0)
+            chi = rng.uniform(-50.0, 0.95)
+            r = hyp2f1_half_one(c, chi)
+            ref = mp_hyp2f1(0.5, 1.0, c, chi, dps=40)
+            assert abs(r.value - ref) <= r.abs_error_estimate, (c, chi)
 
 
 class TestLadder:
