@@ -1,7 +1,9 @@
 """Shared test helpers: high-precision reference evaluations and the
 acceptance-criteria summary block."""
 
+import decimal
 import math
+from decimal import Decimal as Dec
 
 import mpmath as mp
 import pytest
@@ -22,30 +24,57 @@ def mp_hyp2f1(a, b, c, x, dps=50):
         return mp.hyp2f1(mp.mpf(str(a)), mp.mpf(str(b)), mp.mpf(str(c)), mp.mpf(str(x)))
 
 
-def mp_ladder(c, x, kmax, dps=60):
-    """G_k = 2F1((k+1)/2, (k+2)/2; c; x) for k = 0..kmax in mp arithmetic.
+# dec_ladder's runs for the session, by (c, x, dps).
+_LADDERS = {}
 
-    Runs the stride-2 contiguous recurrence at ``dps`` digits with library
-    seeds; the recurrence coefficients are exact rationals in (c, x), so
-    the result is a from-scratch reference for the float path (which uses
-    log-scaled float64 state instead).
+
+def dec_ladder(c, x, kmax, dps=60):
+    """G_k = 2F1((k+1)/2, (k+2)/2; c; x) for k = 0..kmax as ``dps``-digit
+    Decimals, in the context ``dec_context(dps)``.
+
+    Runs the stride-2 contiguous relation in its general, unfactored form
+    with mpmath seeds; the recurrence coefficients are exact rationals in
+    (c, x), so the result is a from-scratch reference for the float path
+    (which uses the factored coefficients in float64). c and x are taken
+    at the exact values of their floats: the decimal 0.64 differs from the
+    float 0.64 by 1e-17, which moves G_k at k = 2e4 by 6e-13. Decimal
+    arithmetic runs about ten times faster than mpmath's here. Memoised for
+    the session: a call extends the run kept for (c, x, dps) as far as it
+    needs and returns a copy of its first kmax + 1 values.
     """
-    with mp.workdps(dps):
-        c = mp.mpf(str(c))
-        x = mp.mpf(str(x))
-        m = max(4, int(mp.ceil(c + mp.mpf("1.5"))) + 1)
-        vals = [mp.hyp2f1((k + 1) / mp.mpf(2), (k + 2) / mp.mpf(2), c, x)
-                for k in range(min(m + 1, kmax) + 1)]
-        D = x - 1
-        for k in range(m + 2, kmax + 1):
-            a = (k - 1) / mp.mpf(2)
-            b = a + mp.mpf("0.5")
-            Et = (-(b - 1) * (2 * a - c + (b - a) * x) * (c - b)
-                  - (a - 1) * (c - a - b) * (c - a)) / (b - a)
-            B = -(c - a - b - 1) * (c - a) * (c - b) / (a * b * D * D * (c - a - b + 1))
-            A = (-(c - a - 1) + (c - a - b - 1) * Et / (a * D * (c - a - b + 1))) / (b * D)
+    vals = _LADDERS.setdefault((c, x, dps), [])
+    with decimal.localcontext(dec_context(dps)):
+        cd = Dec(c) + 0
+        xd = Dec(x) + 0
+        half = Dec("0.5")
+        m = max(4, math.ceil(cd + Dec("1.5")) + 1)
+        D = xd - 1
+        for k in range(len(vals), kmax + 1):
+            if k <= m + 1:
+                with mp.workdps(dps + 10):
+                    v = mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, mp.mpf(c), mp.mpf(x))
+                    vals.append(Dec(mp.nstr(v, dps + 5, strip_zeros=False)) + 0)
+                continue
+            a = (k - 1) * half
+            b = a + half
+            Et = (-(b - 1) * (2 * a - cd + (b - a) * xd) * (cd - b)
+                  - (a - 1) * (cd - a - b) * (cd - a)) / (b - a)
+            B = -(cd - a - b - 1) * (cd - a) * (cd - b) / (a * b * D * D * (cd - a - b + 1))
+            A = (-(cd - a - 1) + (cd - a - b - 1) * Et / (a * D * (cd - a - b + 1))) / (b * D)
             vals.append(A * vals[k - 2] + B * vals[k - 4])
-        return vals
+    return vals[:kmax + 1]
+
+
+def dec_context(dps):
+    """Decimal context of ``dps`` digits whose exponent range holds every
+    G_k the tests read."""
+    return decimal.Context(prec=dps, Emax=10**9, Emin=-10**9)
+
+
+def mp_ladder(c, x, kmax, dps=60):
+    """dec_ladder's values as mpmath numbers of ``dps`` digits."""
+    with mp.workdps(dps):
+        return [mp.mpf(str(v)) for v in dec_ladder(c, x, kmax, dps)]
 
 
 def ref_series_sum(a, b, c, x, tol, max_terms):
@@ -100,8 +129,9 @@ def ref_series_sum(a, b, c, x, tol, max_terms):
 
 def ladder_block_edges(c, kmax):
     """Indices k <= kmax at which the float ladder starts a new block: after
-    the series seeds, then block sizes doubling from the first."""
-    from hypersum.special import _FIRST_BLOCK, _MAX_BLOCK
+    the series seeds, then block sizes doubling from the first up to the
+    ladder's cap."""
+    from hypersum.special import _FIRST_BLOCK, _LADDER_MAX_BLOCK
 
     k = max(4, math.ceil(c + 1.5) + 1) + 2
     n = _FIRST_BLOCK
@@ -109,8 +139,42 @@ def ladder_block_edges(c, kmax):
     while k <= kmax:
         edges.append(k)
         k += n
-        n = min(2 * n, _MAX_BLOCK)
+        n = min(2 * n, _LADDER_MAX_BLOCK)
     return edges
+
+
+def ref_ladder_sum(c, x, lw, shift, tol, n):
+    """Scalar reference for sums._ladder_sum: one loop over every value of
+    special._ladder with t_k = G_k exp((k + shift) lw), math.exp per term,
+    stopping at three terms in a row under tol with k > 2. Returns
+    (s, sum|t|, last term, terms read, stopped)."""
+    from hypersum.special import _ladder
+
+    ln2 = math.log(2.0)
+    s = 0.0
+    sum_abs = 0.0
+    small = 0
+    t = 0.0
+    k = 0
+    for frac, exp in _ladder(c, x):
+        for f, e in zip(frac.tolist(), exp.tolist()):
+            if k == n:
+                return s, sum_abs, t, k, False
+            lt = (k + shift) * lw + e * ln2
+            if lt > 709.0:
+                t = math.copysign(math.inf, f) if f else 0.0
+            else:
+                t = f * math.exp(lt)
+            s += t
+            a = abs(t)
+            sum_abs += a
+            if a < tol:
+                small += 1
+                if small >= 3 and k > 2:
+                    return s, sum_abs, t, k + 1, True
+            else:
+                small = 0
+            k += 1
 
 
 @pytest.fixture(scope="session")

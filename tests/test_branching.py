@@ -33,8 +33,18 @@ from hypersum.branching import (
     solve_dual_root,
 )
 from hypersum.errors import DomainError, RootFindFailure
+from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK
 
 from conftest import ladder_block_edges
+
+
+def _chunked_edge_ells(c):
+    """ell = k + 1 around the ladder blocks where chunk transfers start and
+    where blocks first reach the cap, and the block after that."""
+    edges = ladder_block_edges(c, 4 * _LADDER_MAX_BLOCK)
+    first = edges.index(next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM))
+    cap = edges.index(next(e for e, f in zip(edges, edges[1:]) if f - e == _LADDER_MAX_BLOCK))
+    return [k + 1 + d for k in (edges[first], edges[cap], edges[cap + 1]) for d in (-1, 0, 1)]
 
 
 def survival_exact(d, K):
@@ -212,6 +222,24 @@ class TestProgenyHalfLaw:
             with pytest.raises(DomainError):
                 progeny_pmf_range(law, lmax)
 
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_non_finite_size_is_a_domain_error(self, n):
+        law = ProgenyHalfLaw(0.6)
+        with pytest.raises(DomainError):
+            progeny_pmf(law, n)
+        with pytest.raises(DomainError):
+            progeny_pmf_range(law, n)
+
+    def test_range_matches_points_at_chunked_block_edges(self):
+        # Q = 0.9375 keeps p_ell above 1e-250 out to the second block at
+        # the ladder's cap.
+        law = ProgenyHalfLaw(0.25)
+        ells = _chunked_edge_ells(2.0)
+        full = progeny_pmf_range(law, max(ells))
+        for ell in ells:
+            assert full[ell - 1] == pytest.approx(progeny_pmf(law, ell), rel=1e-13, abs=0)
+            assert progeny_pmf_range(law, ell) == full[:ell]
+
     def test_near_certain_extinction_concentrates_at_one(self):
         # p_1 = 1/(1+lam); the rest of the mass is small but heavy-tailed.
         law = ProgenyHalfLaw(0.05)
@@ -358,9 +386,19 @@ class TestGeneralProgenyLaw:
         law = GeneralProgenyLaw(2.5, 0.49)
         with pytest.raises(DomainError):
             general_progeny_pmf(law, 0)
-        for lmax in (0, 2.5):
+        for lmax in (0, 2.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 general_progeny_pmf_range(law, lmax)
+
+    def test_range_matches_points_at_chunked_block_edges(self):
+        law = GeneralProgenyLaw(2.5, 0.49)
+        ells = _chunked_edge_ells(2.5)
+        full = general_progeny_pmf_range(law, max(ells))
+        # The point query goes through log q_ell, whose rounding grows with
+        # its size, about ell |log(1 - sqrt x)|.
+        for ell in ells:
+            rel = 8 * 2.2e-16 * ell * abs(math.log1p(-math.sqrt(law.x)))
+            assert full[ell - 1] == pytest.approx(general_progeny_pmf(law, ell), rel=rel, abs=0)
 
 
 class TestTiltedIdentity:

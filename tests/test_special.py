@@ -4,13 +4,19 @@ Frozen constants were produced with mpmath at 50 digits; each is tagged
 with the expression that generated it.
 """
 
+import decimal
 import math
 import random
+from decimal import Decimal as Dec
 
+import numpy as np
 import pytest
 
+from hypersum import special
 from hypersum.errors import DomainError, NonConvergent
 from hypersum.special import (
+    _CHUNKED_FROM,
+    _LADDER_MAX_BLOCK,
     _LOOP_TERMS,
     _SERIES_FIRST_BLOCK,
     DEFAULT_TOL,
@@ -23,11 +29,13 @@ from hypersum.special import (
     hyp2f1_ladder,
     hyp2f1_large_k,
     hyp2f1_series,
+    _chunked_block,
     _ladder_seeds,
+    _ladder_upto,
     _series_sum,
 )
 
-from conftest import ladder_block_edges, mp_hyp2f1, mp_ladder, ref_series_sum
+from conftest import dec_context, dec_ladder, ladder_block_edges, mp_hyp2f1, mp_ladder, ref_series_sum
 
 
 class TestSeries:
@@ -339,6 +347,99 @@ class TestLadder:
         with pytest.raises(DomainError):
             hyp2f1_ladder(2.0, 0.5, -1)
 
+    @pytest.mark.parametrize("c,x,kmax", [
+        (math.nan, 0.5, 10), (math.inf, 0.5, 10), (2.0, math.nan, 10), (2.0, -math.inf, 10),
+        (2.0, 0.5, math.nan), (2.0, 0.5, math.inf), (2.0, 0.5, 2.5)])
+    def test_non_finite_arguments_are_domain_errors(self, c, x, kmax):
+        with pytest.raises(DomainError):
+            hyp2f1_ladder(c, x, kmax)
+
+
+def _values(c, x, n):
+    """The float ladder's G_k for k < n as (frac, exp) arrays."""
+    blocks = list(_ladder_upto(c, x, n))
+    return np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks])
+
+
+def _error(c, x, frac, exp, ref):
+    """Worst error of G_k = frac * 2**exp against the Decimal values ref:
+    relative for x > 0; for x < 0, where G_k oscillates through zeros,
+    relative to the envelope max |G_j| over |j - k| <= 8."""
+    with decimal.localcontext(dec_context(60)):
+        mags = [abs(r) for r in ref]
+        pow2 = {}
+        worst = Dec(0)
+        for k, (f, e) in enumerate(zip(frac.tolist(), exp.tolist())):
+            p = pow2.get(e)
+            if p is None:
+                p = pow2[e] = Dec(2) ** e
+            scale = mags[k] if x > 0 else max(mags[max(k - 8, 0):k + 9])
+            worst = max(worst, abs(Dec(f) * p - ref[k]) / scale)
+        return float(worst)
+
+
+class TestChunkedLadder:
+    """Blocks of _CHUNKED_FROM steps or more go by chunk transfers."""
+
+    # The step-by-step loop's error against the 60-digit recurrence over
+    # k <= kmax, when it ran every block; the chunked ladder must stay
+    # within 1.1 times of it.
+    @pytest.mark.parametrize("c,x,kmax,loop_err", [
+        (2.5, 0.49, 20_000, 6.637e-13), (1.2, 0.01, 20_000, 2.033e-12),
+        (2.0, -0.8, 20_000, 1.257e-14), (2.0, 0.64, 20_000, 3.794e-13),
+        (3.3, -0.3, 20_000, 3.588e-13), (0.667, 2.18e-5, 40_000, 1.488e-10)])
+    def test_accuracy_against_reference(self, c, x, kmax, loop_err):
+        frac, exp = _values(c, x, kmax + 1)
+        assert _error(c, x, frac, exp, dec_ladder(c, x, kmax)) <= 1.1 * loop_err
+
+    @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.5), (0.7, 0.05), (3.3, -0.1)])
+    @pytest.mark.parametrize("switch", [special._FIRST_BLOCK, _CHUNKED_FROM])
+    def test_chunked_blocks_match_loop_blocks(self, monkeypatch, c, x, switch):
+        # Chunked from the first block (or from the usual switch) against
+        # step-by-step blocks everywhere, in both transfer forms: within
+        # n eps of each other after n steps, relative to the envelope of
+        # |G| over 17 neighbours (|G| itself for x >= 0).
+        n = 6000
+        monkeypatch.setattr(special, "_CHUNKED_FROM", switch)
+        frac, exp = _values(c, x, n)
+        monkeypatch.setattr(special, "_CHUNKED_FROM", 10**9)
+        lfrac, lexp = _values(c, x, n)
+        v = frac * np.exp2(exp - lexp)
+        scale = np.abs(lfrac)
+        if x < 0.0:
+            for o in range(1, 9):
+                scale[o:] = np.maximum(scale[o:], np.abs(lfrac[:-o]) * np.exp2(lexp[:-o] - lexp[o:]))
+                scale[:-o] = np.maximum(scale[:-o], np.abs(lfrac[o:]) * np.exp2(lexp[o:] - lexp[:-o]))
+        assert np.all(np.abs(v - lfrac) <= n * 2.2e-16 * scale)
+        first = ladder_block_edges(c, n)[int(math.log2(switch // special._FIRST_BLOCK))]
+        assert (frac[:first] == lfrac[:first]).all() and (exp[:first] == lexp[:first]).all()
+
+    @pytest.mark.parametrize("c", [0.6, 2.0, 7.3])
+    def test_gap_form_holds_x_zero(self, c):
+        # G_k(c; 0) = 1. Out to k = 32,300 the step-by-step loop drifts by
+        # 5.8e-10, 5.2e-11 and 2.7e-10 at these c; the gap form keeps the
+        # chunked blocks within 1e-10 (7.6e-11, 5.0e-13, 3.5e-13).
+        frac, exp = _values(c, 0.0, 32_300)
+        assert np.abs(frac * np.exp2(exp) - 1.0).max() <= 1e-10
+
+    def test_transfers_out_of_range_fall_back_to_the_loop(self):
+        # At x = 1 - 1e-12 one step grows a value by about 1e25: the
+        # transfers leave [1e-250, 1e250] and the block is left to the loop.
+        chains = [[0.75, 0.5, 3, None], [0.625, 0.5, 3, None]]
+        assert _chunked_block(101, 16, _CHUNKED_FROM // 16, 2.0, 1.0 - 1e-12, chains) is None
+        assert chains == [[0.75, 0.5, 3, None], [0.625, 0.5, 3, None]]
+
+    @pytest.mark.parametrize("c,x", [(0.667, 2.18e-5), (2.5, 0.3), (1.2, -0.5)])
+    def test_prefixes_around_switch_and_cap(self, c, x):
+        edges = ladder_block_edges(c, 3 * _LADDER_MAX_BLOCK)
+        switch = edges[int(math.log2(_CHUNKED_FROM // special._FIRST_BLOCK))]
+        cap = edges[int(math.log2(_LADDER_MAX_BLOCK // special._FIRST_BLOCK))]
+        top = cap + _LADDER_MAX_BLOCK + 2
+        logs, signs = hyp2f1_ladder(c, x, top)
+        for n in (switch, cap, cap + _LADDER_MAX_BLOCK):
+            for kmax in (n - 2, n - 1, n, n + 1):
+                assert hyp2f1_ladder(c, x, kmax) == (logs[:kmax + 1], signs[:kmax + 1])
+
 
 class TestLargeK:
     def test_positive_x_converges_to_ladder(self):
@@ -362,6 +463,13 @@ class TestLargeK:
             hyp2f1_large_k(100, 2.0, 0.0)
         with pytest.raises(DomainError):
             hyp2f1_large_k(100, 2.0, 1.0)
+
+    @pytest.mark.parametrize("k,c,x", [
+        (math.nan, 2.0, 0.5), (math.inf, 2.0, 0.5), (100, math.nan, 0.5), (100, math.inf, 0.5),
+        (100, 2.0, math.nan), (100, 2.0, -math.inf)])
+    def test_non_finite_arguments_are_domain_errors(self, k, c, x):
+        with pytest.raises(DomainError):
+            hyp2f1_large_k(k, c, x)
 
 
 class TestEvalResult:

@@ -11,8 +11,9 @@ import math
 import pytest
 
 from hypersum.errors import DomainError, NotConvergent, SlowConvergence
-from hypersum.special import Method
+from hypersum.special import Method, _ladder_upto
 from hypersum.sums import (
+    _LOOP_READ,
     ClosedFormArgument,
     Reason,
     SumParams,
@@ -23,9 +24,10 @@ from hypersum.sums import (
     sum_closed,
     sum_direct,
     sum_special,
+    _ladder_sum,
 )
 
-from conftest import mp_hyp2f1
+from conftest import ladder_block_edges, mp_hyp2f1, ref_ladder_sum
 
 
 class TestSumParams:
@@ -394,3 +396,97 @@ class TestNormalizationIdentity:
     def test_unity_across_x(self):
         for x in (-1.0, -0.4, 0.0, 0.37, 0.9, 1.0):
             assert normalization_identity(x) == pytest.approx(1.0, rel=5e-11)
+
+
+def _terms(c, x, lw, n):
+    """|t_k| = |G_k| exp(k lw) for k < n, as the term-by-term loop forms them."""
+    out = []
+    for _, frac, exp in _ladder_upto(c, x, n):
+        out += [abs(f) * math.exp(k * lw + e * math.log(2.0))
+                for k, f, e in zip(range(len(out), len(out) + len(frac)), frac.tolist(), exp.tolist())]
+    return out
+
+
+class TestLadderSum:
+    """sums._ladder_sum, the block reader behind both direct routes, against
+    conftest.ref_ladder_sum, the term-by-term loop over the same ladder."""
+
+    C, X, ETA = 2.5, 0.3, 0.8
+    LW = math.log1p(-X) - math.log1p(ETA)
+
+    @staticmethod
+    def _check(c, x, lw, shift, tol, n):
+        # Only np.exp's last bit differs, term by term: the running sums
+        # stay within (terms read) eps sum|t| of the loop's.
+        got = _ladder_sum(c, x, lw, shift, tol, n)
+        ref = ref_ladder_sum(c, x, lw, shift, tol, n)
+        assert got[3:] == ref[3:]
+        bound = ref[3] * 2.2e-16 * ref[1]
+        assert abs(got[0] - ref[0]) <= bound
+        assert abs(got[1] - ref[1]) <= bound
+        assert got[2] == pytest.approx(ref[2], rel=4.4e-16, abs=0)
+        return got
+
+    def _edges(self):
+        """Ladder index where the reader's first numpy block starts, and the
+        start of the block after it."""
+        edges = ladder_block_edges(self.C, 4 * _LOOP_READ)
+        first = next(e for e, f in zip(edges, edges[1:]) if f > _LOOP_READ)
+        return first, edges[edges.index(first) + 1]
+
+    def _tol_for_stop(self, k):
+        """A tol that makes the (decreasing) terms stop at ladder index k:
+        terms k-2, k-1, k are the first three under it."""
+        t = _terms(self.C, self.X, self.LW, k + 1)
+        assert all(a > b for a, b in zip(t[k - 4:], t[k - 3:]))
+        return math.sqrt(t[k - 3] * t[k - 2])
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_stop_around_the_loop_block_switch(self, offset):
+        k = self._edges()[0] + offset
+        got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+        assert got[3:] == (k + 1, True)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_small_count_carries_across_a_block_edge(self, offset):
+        # One or two of the three small terms sit in the block before.
+        k = self._edges()[1] + offset
+        got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+        assert got[3:] == (k + 1, True)
+
+    def test_term_cap_inside_a_block(self):
+        n = self._edges()[1] + 100
+        assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:] == (n, False)
+        assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:] == (n, False)
+
+    def test_direct_routes_at_a_cap_inside_a_block(self):
+        n = self._edges()[1] + 100
+        p = SumParams(0.43, 2.0, 0.16)
+        assert not ref_ladder_sum(p.c, p.x, math.log1p(-p.x) - math.log1p(p.eta), 0, 1e-14, n)[4]
+        with pytest.raises(SlowConvergence):
+            sum_direct(p, max_terms=n - 1)
+        r = sum_direct(SumParams(0.7, 2.0, 0.49), max_terms=n - 1)
+        assert r.terms_used == n
+
+    def test_terms_past_double_range_in_a_block(self):
+        # Divergent (0.3, 2, 0.5): log t_k passes 709 near k = 2,600.
+        p = SumParams(0.3, 2.0, 0.5)
+        lw = math.log1p(-p.x) - math.log1p(p.eta)
+        got = _ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
+        ref = ref_ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
+        assert got[3:] == ref[3:] == (3001, False)
+        assert got[0] == ref[0] == math.inf and got[1] == ref[1] == math.inf
+        r = sum_direct(p, max_terms=3000, override_divergence=True)
+        assert r.value == math.inf and r.terms_used == 3001
+
+    @pytest.mark.parametrize("z,c,x", [(0.5, 2.5, 0.24), (0.5, 2.5, 0.2499), (0.3, 0.8, 0.48),
+                                       (0.6, 4.1, 0.155), (0.2, 1.7, 0.63), (0.4, 0.6, 0.355)])
+    def test_letac_direct_against_closed(self, z, c, x):
+        # x near (1 - z)^2: the terms fall slowly and the sums run into
+        # numpy blocks (721 to 54,209 terms).
+        d = letac_sum(z, c, x, method="direct")
+        ref = ref_ladder_sum(c, x, math.log(z), 1, 1e-14, 10**5)
+        assert ref[4] and d.terms_used == ref[3] > 2 * _LOOP_READ
+        cl = letac_sum(z, c, x)
+        assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
+        self._check(c, x, math.log(z), 1, 1e-14, 10**5)
