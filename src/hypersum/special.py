@@ -588,16 +588,20 @@ def _step_coeffs(a, c, x, gap=False):
     return A, B
 
 
-# Ladder blocks double from _FIRST_BLOCK up to _LADDER_MAX_BLOCK steps: a
-# short sum does not pay for a long block, a long ladder pays numpy's
-# per-call cost rarely. Blocks of _CHUNKED_FROM steps or more go by chunk
-# transfers (_chunked_block); shorter ones, and any block whose transfers
-# leave [_TINY, _HUGE], go step by step (_looped_block). The series blocks
-# of _series_blocks stop doubling at _MAX_BLOCK.
+# The loop phase, the first _CHUNKED_FROM - _FIRST_BLOCK steps after the
+# seeds (as far as blocks doubling from _FIRST_BLOCK stay shorter than
+# _CHUNKED_FROM), goes step by step (_looped_block), from step
+# coefficients formed in one call for the first _LOOP_COEFFS steps and one
+# for the rest. After it, blocks of _CHUNKED_FROM steps doubling up to
+# _LADDER_MAX_BLOCK go by chunk transfers (_chunked_block), or step by step
+# where their transfers leave [_TINY, _HUGE]; a long ladder pays numpy's
+# per-call cost rarely. The series blocks of _series_blocks stop doubling
+# at _MAX_BLOCK.
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 2048
 _CHUNKED_FROM = 1024
 _LADDER_MAX_BLOCK = 16384
+_LOOP_COEFFS = 256
 
 
 def _rescale(f, f1):
@@ -609,46 +613,69 @@ def _rescale(f, f1):
     return f, f1, 0
 
 
-def _looped_block(A, B, chains):
-    """One ladder block, one step at a time.
+def _looped_block(k0, w, c, x, chains, width):
+    """The ladder's stepping loop, over the w steps (w even) from k = k0.
 
-    ``A``, ``B`` are the block's step coefficients in k order (even
-    positions step the first chain, odd ones the second); ``chains`` holds
-    each chain's state [newest, previous, exponent, gap], values being the
-    float times 2^exponent and gap the previous minus the newest value when
-    a chunked block left it (None otherwise). Returns (frac, exp) of the
-    block and updates ``chains``. When a new value leaves [_TINY, _HUGE], a
-    power of two moves from the chain's values into its exponent.
+    The block's step coefficients come from one _step_coeffs call, in k
+    order: even positions step the first chain, odd ones the second.
+    ``chains`` holds each chain's state [newest, previous, exponent, gap],
+    values being the float times 2^exponent and gap the previous minus the
+    newest value when a chunked block left it (None otherwise). Yields the
+    new values as (vals, (ep, eq)): a list of at most ``width`` (even)
+    Python floats and the chains' exponents, value j being
+    G = vals[j] 2^(ep if j is even else eq). When a new value leaves
+    [_TINY, _HUGE], a power of two moves from the chain's values into its
+    exponent and the list ends before it. Nothing is computed before the
+    first list is asked for, and ``chains`` is updated once the block has
+    run through.
     """
-    (p1, p2, ep, _), (q1, q2, eq, _) = chains
-    lo, hi = _TINY, _HUGE
-    out = []
-    put = out.append
-    shifts = []
+    A, B = _step_coeffs(np.arange(k0 - 1, k0 - 1 + w) / 2.0, c, x)
     A = A.tolist()
     B = B.tolist()
-    for a0, b0, a1, b1 in zip(A[0::2], B[0::2], A[1::2], B[1::2]):
-        f = a0 * p1 + b0 * p2
-        g = a1 * q1 + b1 * q2
-        if not (lo < abs(f) < hi and lo < abs(g) < hi):
-            f, p1, s = _rescale(f, p1)
-            g, q1, t = _rescale(g, q1)
-            shifts += ((len(out), s), (len(out) + 1, t))
-        p2 = p1
-        p1 = f
-        q2 = q1
-        q1 = g
-        put(f)
-        put(g)
-    exp = np.empty(len(out), dtype=np.int64)
-    exp[0::2] = ep
-    exp[1::2] = eq
-    for j, s in shifts:
-        exp[j::2] += s
-    chains[0] = [p1, p2, int(exp[-2]), None]
-    chains[1] = [q1, q2, int(exp[-1]), None]
-    frac, fe = np.frexp(np.array(out))
-    return frac, exp + fe
+    (p1, p2, ep, _), (q1, q2, eq, _) = chains
+    lo, hi = _TINY, _HUGE
+    for i in range(0, len(A), width):
+        out = []
+        put = out.append
+        j = i + width
+        for a0, b0, a1, b1 in zip(A[i:j:2], B[i:j:2], A[i + 1:j:2], B[i + 1:j:2]):
+            f = a0 * p1 + b0 * p2
+            g = a1 * q1 + b1 * q2
+            if not (lo < abs(f) < hi and lo < abs(g) < hi):
+                f, p1, s = _rescale(f, p1)
+                g, q1, t = _rescale(g, q1)
+                if s or t:
+                    if out:
+                        yield out, (ep, eq)
+                        out = []
+                        put = out.append
+                    ep += s
+                    eq += t
+            p2 = p1
+            p1 = f
+            q2 = q1
+            q1 = g
+            put(f)
+            put(g)
+        yield out, (ep, eq)
+    chains[0] = [p1, p2, ep, None]
+    chains[1] = [q1, q2, eq, None]
+
+
+def _frexp_lists(lists):
+    """(frac, exp) arrays of the (vals, (ep, eq)) lists of _looped_block,
+    in order, with G = frac * 2**exp."""
+    vals = []
+    shifts = []
+    for v, e in lists:
+        if e != (0, 0):
+            shifts.append((len(vals), len(v), e))
+        vals += v
+    frac, exp = np.frexp(np.array(vals))
+    for j, w, (ep, eq) in shifts:
+        exp[j:j + w:2] += ep
+        exp[j + 1:j + w:2] += eq
+    return frac, exp
 
 
 def _chunk_width(n):
@@ -712,7 +739,7 @@ def _chunked_block(k0, L, rows, c, x, chains):
     5e-11 for the step-by-step loop and 1.6e-9 for the direct form. Away
     from 0 the gap form rounds more per step (up to three times the loop's
     error at x = -0.9), while the direct form stays within 10% of it.
-    Returns (frac, exp) and updates ``chains``, as _looped_block does.
+    Returns (frac, exp) and updates ``chains``.
     """
     # Step i of row r is step 2 (r//2 L + i) + r%2 of the block.
     r = np.arange(rows)
@@ -778,23 +805,29 @@ def _chunked_block(k0, L, rows, c, x, chains):
     return frac.ravel(), (fe + e.reshape(nc, 1, 2)).ravel()
 
 
-def _ladder(c, x, n=None):
-    """Yield blocks (frac, exp) with G_k = frac * 2**exp for consecutive k,
-    starting at k = 0, up to at least k = n-1 (without end for n = None).
+def _ladder(c, x, n=None, width=None):
+    """Yield blocks of G_k for consecutive k, starting at k = 0, up to at
+    least k = n-1 (without end for n = None).
 
-    frac is a float array with |frac| in [1/2, 1) (0 at an exact zero) and
-    exp an integer array. The first block holds the series seeds up to
+    A block is (frac, exp), with G_k = frac * 2**exp: frac a float array
+    with |frac| in [1/2, 1) (0 at an exact zero), exp an integer array.
+    With ``width``, the seeds and the loop phase come instead as lists of
+    at most ``width`` Python floats with their chains' exponents, as
+    _looped_block yields them: (vals, (ep, eq)) with G = vals[j] 2^ep for
+    even j and 2^eq for odd j. The first block holds the series seeds up to
     k = m+1, computed together in one pass of _ladder_seeds; the forward
-    recurrence then runs with stride 2, one chain per parity, in blocks of
-    _FIRST_BLOCK steps doubling up to _LADDER_MAX_BLOCK; the block that
-    reaches n is cut short, to whole chunks or steps. A block's step
-    coefficients come from one numpy call of _step_coeffs. Blocks shorter
-    than _CHUNKED_FROM run the steps in a Python loop (_looped_block);
-    longer ones by chunk transfers (_chunked_block), falling back to the
-    loop where those leave [_TINY, _HUGE], as for x near 1, where one step
-    can grow a value by 1e30. Cutting a block changes none of the values it
-    keeps, so G_k does not depend on n, unless the cut decides whether the
-    block's transfers stay in range.
+    recurrence then runs with stride 2, one chain per parity. The loop phase
+    (the first _CHUNKED_FROM - _FIRST_BLOCK steps) forms its step
+    coefficients in one _step_coeffs call for the first _LOOP_COEFFS steps
+    and one for the rest, and steps them in a Python loop (_looped_block)
+    that runs only as far as the lists are read. After it, blocks of
+    _CHUNKED_FROM steps doubling up to _LADDER_MAX_BLOCK go by chunk
+    transfers (_chunked_block), falling back to the loop where those leave
+    [_TINY, _HUGE], as for x near 1, where one step can grow a value by
+    1e30. The part that reaches n is cut short, to whole chunks or steps.
+    Cutting changes none of the values kept, so G_k depends neither on n
+    nor on ``width``, unless the cut decides whether a block's transfers
+    stay in range.
     Each chain is a float times 2^e with e an integer: a power of two
     moves from the value into e whenever the loop's newest value leaves
     [_TINY, _HUGE], and at each chunk start, so no k can overflow and the
@@ -805,24 +838,38 @@ def _ladder(c, x, n=None):
     # coefficient pole at k = c - 1/2.
     m = max(4, math.ceil(c + 1.5) + 1)
     seeds = _ladder_seeds(c, x, m + 2)
-    yield np.frexp(np.array(seeds))
+    yield (seeds, (0, 0)) if width else np.frexp(np.array(seeds))
     # Newest value, the one before and exponent of the chain of k = m+2,
     # then of the other parity.
     chains = [[seeds[m], seeds[m - 2], 0, None], [seeds[m + 1], seeds[m - 1], 0, None]]
     k0 = m + 2
-    size = _FIRST_BLOCK
+    end = k0 + _CHUNKED_FROM - _FIRST_BLOCK
+    if n is not None:
+        end = min(end, n)
+    size = _LOOP_COEFFS
+    while k0 < end:
+        w = min(size, end - k0)
+        w += w % 2
+        lists = _looped_block(k0, w, c, x, chains, width or w)
+        if width:
+            yield from lists
+        else:
+            yield _frexp_lists(lists)
+        k0 += w
+        size = _LADDER_MAX_BLOCK
+    size = _CHUNKED_FROM
     while n is None or k0 < n:
         w = size if n is None else min(size, n - k0)
-        block = None
-        if size >= _CHUNKED_FROM:
-            L = _chunk_width(size)
-            block = _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)
+        L = _chunk_width(size)
+        block = _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)
         if block is None:
             w += w % 2
-            block = _looped_block(*_step_coeffs(np.arange(k0 - 1, k0 - 1 + w) / 2.0, c, x), chains)
+            block = _frexp_lists(_looped_block(k0, w, c, x, chains, w))
         yield block
         k0 += len(block[0])
         size = min(2 * size, _LADDER_MAX_BLOCK)
+        # Let the block go before the next one is formed.
+        del block
 
 
 def _ladder_upto(c, x, n):
@@ -858,16 +905,18 @@ def hyp2f1_ladder(c, x, kmax):
     -----
     Forward three-term recurrence in k with stride 2 (one chain per parity),
     seeded by series values at small k; one pass of the generator that every
-    other ladder consumer reads. The first 992 steps run one at a time,
-    longer stretches by chunk transfers at numpy speed (about 100 ns a step
-    against 300 for the loop). For 0 < x < 1 the wanted solution
-    dominates, so the forward direction is self-correcting; for x < 0 the two
-    solutions share one modulus and errors grow only linearly in k. Against
-    a 60-digit run of the same recurrence at the floats' exact values, up to
-    k = 2e4, relative error: 6.6e-13 at (c, x) = (2.5, 0.49), 3.9e-13 at
-    (1.2, 0.01), 4.1e-13 at (2, 0.64); relative to the envelope of |G_k|:
-    1.4e-14 at (2, -0.8), 3.5e-13 at (3.3, -0.3). At k = 4e4,
-    (0.667, 2.18e-5): 4.5e-12, where stepping one at a time gives 1.5e-10.
+    other ladder consumer reads. The first 992 steps run one at a time in a
+    Python loop, from step coefficients formed in two numpy calls (the
+    first 256 steps, then the rest); longer stretches go by chunk transfers
+    at numpy speed (about 100 ns a step against 300 for the loop). For
+    0 < x < 1 the wanted solution dominates, so the forward direction is
+    self-correcting; for x < 0 the two solutions share one modulus and
+    errors grow only linearly in k. Against a 60-digit run of the same
+    recurrence at the floats' exact values, up to k = 2e4, relative error:
+    6.6e-13 at (c, x) = (2.5, 0.49), 3.9e-13 at (1.2, 0.01), 4.1e-13 at
+    (2, 0.64); relative to the envelope of |G_k|: 1.4e-14 at (2, -0.8),
+    3.5e-13 at (3.3, -0.3). At k = 4e4, (0.667, 2.18e-5): 4.5e-12, where
+    stepping one at a time gives 1.5e-10.
     Each value is a float times 2^e with e an integer, and the float is
     rescaled by a power of two whenever it leaves [1e-250, 1e250], so
     arbitrarily large k cannot overflow and log|G_k| = log|frac| + e ln 2

@@ -8,8 +8,10 @@ from special._ladder, the one streaming stride-2 recurrence ladder, which
 gives each G_k as a float times an integer power of two; a term is that
 float times exp(k log w + e ln 2) for weight w. One block reader,
 _ladder_sum, forms the terms, the stop rule and the running sums for both:
-term by term for the first ladder blocks, in numpy after them. The closed
-form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
+term by term over the ladder's loop phase (its first 992 steps after the
+seeds), which hands out plain floats in lists of 32 and steps only as far
+as they are read, and in numpy over the chunked blocks after it. The
+closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
 X = (x+eta)/(1+eta). The two paths share no evaluation code, so they can
 check each other.
 """
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import DomainError, NotConvergent, SlowConvergence
 from .special import (
     _LN2,
+    _ROUNDING,
     DEFAULT_TOL,
     EvalResult,
     Method,
@@ -145,9 +148,34 @@ def _term_decay_ratio(p):
     return 1.0 / (1.0 + p.eta)
 
 
-# The direct sums read ladder blocks that end by this index term by term;
-# later blocks are read in numpy.
-_LOOP_READ = 256
+# The direct sums read the ladder's loop phase in lists of this many values.
+_READ_LIST = 32
+# Drift of the ladder, in eps per step: the relative error of G_k grows
+# about linearly in k. Against 40-digit mpmath on 1,100 seeded direct sums
+# (interior and pocket strata, x = 0 at eta = 1e-3 and the point
+# (0.00533, 0.667, 2.18e-5)), the largest error beyond the tail and the
+# rounding floor was 16 eps sum (k + shift)|t|, at x just below 0.
+_DRIFT = 32.0
+_EPS = 2.220446049250313e-16
+
+
+def _error_floor(sum_abs, moment, log_scale):
+    """Error floor of a direct sum beyond its tail: 4 eps sum|t| for the
+    rounding of the terms and their sum, plus
+    eps (_DRIFT + log_scale) sum (k + shift)|t| for what grows linearly in
+    k: the ladder's drift, and the rounding of the weight's exponent
+    (k + shift) lw, lw being formed from logs of sum ``log_scale``."""
+    return _ROUNDING * sum_abs + _EPS * (_DRIFT + log_scale) * moment
+
+
+def _far_term(v, lt):
+    """v e^lt where e^lt alone may leave double range: +-inf past it, 0 for
+    v = 0."""
+    f, e = math.frexp(v)
+    try:
+        return f * math.exp(lt + e * _LN2) if f else 0.0
+    except OverflowError:
+        return math.copysign(math.inf, f)
 
 
 def _ladder_sum(c, x, lw, shift, tol, n):
@@ -155,58 +183,72 @@ def _ladder_sum(c, x, lw, shift, tol, n):
     k = 0..n-1 of special._ladder, stopping once three terms in a row have
     |t| < tol with k > 2.
 
-    A term whose log passes 709 counts as infinite (0 where G_k is 0). The
-    blocks that end by _LOOP_READ go term by term; later blocks go through
-    _block_sum. Returns (s, sum|t|, last term, terms read, stopped).
+    The seeds and the loop phase come as lists of _READ_LIST Python floats
+    v with their chain exponents e, the ladder stepping only as far as they
+    are read. They are read term by term as
+    t = v exp((k + shift) lw + e ln 2), +-inf past double range: as
+    v exp((k + shift) lw) while the list's exponents are 0 (until a value
+    leaves [1e-250, 1e250]), by _far_term where the exponent passes 709.
+    The (frac, exp) arrays of the chunk transfers go through _block_sum,
+    where a term whose log passes 709 counts as infinite (0 where G_k is
+    0). Returns (s, sum|t|, last term, terms read, stopped,
+    sum (k + shift)|t|).
     """
     s = 0.0
     sum_abs = 0.0
+    mom = 0.0
     small = 0
     t = 0.0
     k = 0
-    for frac, exp in _ladder(c, x, n):
-        m = min(len(frac), n - k)
-        if k + m <= _LOOP_READ:
-            for f, e in zip(frac[:m].tolist(), exp[:m].tolist()):
-                lt = (k + shift) * lw + e * _LN2
-                if lt > 709.0:
-                    # Past double range: a term the direct sum can only call infinite.
-                    t = math.copysign(math.inf, f) if f else 0.0
+    exp = math.exp
+    for vals, e in _ladder(c, x, n, _READ_LIST):
+        if type(vals) is list:
+            lim = 709.0 if e == (0, 0) else -math.inf
+            k1 = k
+            for v in vals if k + len(vals) <= n else vals[:n - k]:
+                j = k + shift
+                lt = j * lw
+                if lt > lim:
+                    lt += e[(k - k1) % 2] * _LN2
+                    t = v * exp(lt) if lt <= 709.0 else _far_term(v, lt)
                 else:
-                    t = f * math.exp(lt)
+                    t = v * exp(lt)
                 s += t
                 a = abs(t)
                 sum_abs += a
+                mom += j * a
                 k += 1
                 if a < tol:
                     small += 1
                     if small >= 3 and k > 3:
-                        return s, sum_abs, t, k, True
+                        return s, sum_abs, t, k, True, mom
                 else:
                     small = 0
         else:
-            s, sum_abs, t, used, small = _block_sum(frac[:m], exp[:m], k, shift, lw, tol, s, sum_abs, small)
+            m = min(len(vals), n - k)
+            s, sum_abs, mom, t, used, small = _block_sum(vals[:m], e[:m], k, shift, lw, tol,
+                                                         s, sum_abs, mom, small)
             k += used
             if small == 3:
-                return s, sum_abs, t, k, True
+                return s, sum_abs, t, k, True, mom
             # Let the block go before the ladder forms the next one.
-            del frac, exp
+            del vals, e
         if k == n:
-            return s, sum_abs, t, k, False
+            return s, sum_abs, t, k, False, mom
 
 
-def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, small):
+def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
     """_ladder_sum's loop over one block G_(k+j) = frac[j] 2^exp[j], in numpy.
 
     The terms, the stop rule (counting the small terms carried in) and the
-    running sums s and sum|t| come from array operations; the sums are
-    ordered add.accumulates seeded by the carried ones, so they differ from
-    the term-by-term loop only through np.exp's last bit. Returns
-    (s, sum|t|, last term, terms read, small-term count), the count being 3
-    when the sum stopped.
+    running sums s, sum|t| and sum (k + shift)|t| come from array
+    operations; s and sum|t| are ordered add.accumulates seeded by the
+    carried ones, so they differ from the term-by-term loop only through
+    np.exp's last bit. Returns (s, sum|t|, sum (k + shift)|t|, last term,
+    terms read, small-term count), the count being 3 when the sum stopped.
     """
-    ts = np.arange(k + shift, k + shift + len(frac), dtype=float)
-    ts *= lw
+    js = np.arange(k + shift, k + shift + len(frac), dtype=float)
+    ts = js * lw
     ts += exp * _LN2
     over = ts > 709.0
     # Terms and sums past double range are infinite, as in the loop.
@@ -223,6 +265,9 @@ def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, small):
         stop = _first(three)
         end = len(ts) if stop is None else stop + 1
         t = float(ts[end - 1])
+        # Not a BLAS dot (@): waking its threads costs more than the product.
+        js[:end] *= at[:end]
+        mom += float(js[:end].sum())
         ts[0] += s
         at[0] += sum_abs
         s = float(np.add.accumulate(ts[:end], out=ts[:end])[-1])
@@ -231,7 +276,7 @@ def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, small):
         small = 3
     else:
         small = 2 if run[-1] and run[-2] else int(run[-1])
-    return s, sum_abs, t, end, small
+    return s, sum_abs, mom, t, end, small
 
 
 def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
@@ -243,12 +288,18 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     large k costs neither overflow nor the accuracy of a truncated
     asymptotic. Terms are added until the absolute term stays below ``tol``
     for three consecutive k (k > 2). The block reader _ladder_sum adds
-    the first ladder blocks (about 250 terms) one term at a time and later
-    blocks in numpy, where a term costs tens of nanoseconds.
+    the terms of the ladder's loop phase (about the first 1,000) one at a
+    time, as the ladder steps them, and later blocks in numpy, where a
+    term costs tens of nanoseconds.
+
+    ``abs_error_estimate`` is the geometric tail from the last term, plus
+    4 eps sum|t| for rounding, plus eps (32 + |log(1-x)| + log(1+eta))
+    sum k|t| for what grows linearly in k: the ladder's drift and the
+    rounding of the weight's exponent.
 
     On a Theorem-type convergence boundary the terms decay only like
     k^(1/2-c); the sum then runs to ``max_terms`` and an integral-comparison
-    tail bound is folded into ``abs_error_estimate`` instead of raising.
+    tail bound takes the geometric tail's place instead of raising.
 
     ``override_divergence`` admits divergent parameters and returns the raw
     partial sum (for divergence demonstrations); its error estimate is the
@@ -267,16 +318,17 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
         v = gauss_point(0.5, 1.0, p.c)
         return EvalResult(value=v, abs_error_estimate=4.0 * abs(v) * 2.2e-16,
                           terms_used=1, method=Method.GaussPoint)
-    lw = math.log1p(-p.x) - math.log1p(p.eta)
-    s, sum_abs, t, used, stopped = _ladder_sum(p.c, p.x, lw, 0, tol, max_terms + 1)
+    l1x = math.log1p(-p.x)
+    l1e = math.log1p(p.eta)
+    s, sum_abs, t, used, stopped, mom = _ladder_sum(p.c, p.x, l1x - l1e, 0, tol, max_terms + 1)
+    floor = _error_floor(sum_abs, mom, abs(l1x) + l1e)
     if not stopped:
         last = abs(t)
         if verdict.on_boundary and verdict.convergent:
             # Terms ~ C k^{1/2-c} on the boundary; integral comparison gives
             # sum_{j>K} ~ C K^{3/2-c}/(c-3/2) = t_K * K/(c-3/2).
             tail = last * max_terms / (p.c - 1.5)
-            est = tail + 2.2e-16 * sum_abs
-            return EvalResult(value=s, abs_error_estimate=est,
+            return EvalResult(value=s, abs_error_estimate=tail + floor,
                               terms_used=max_terms + 1, method=Method.Series)
         if override_divergence:
             return EvalResult(value=s, abs_error_estimate=last if math.isfinite(s) else math.inf,
@@ -285,7 +337,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             "direct sum did not settle in %d terms (term ratio ~ %.6f)"
             % (max_terms, _term_decay_ratio(p)))
     rho = min(_term_decay_ratio(p), 0.999999)
-    est = abs(t) * rho / (1.0 - rho) + 2.2e-16 * sum_abs
+    est = abs(t) * rho / (1.0 - rho) + floor
     return EvalResult(value=s, abs_error_estimate=est,
                       terms_used=used, method=Method.Series)
 
@@ -438,7 +490,8 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     (z/(1-z)) 2F1(1/2, 1; c; x/(1-z)^2). The inner function at index k is
     the ladder value at k-1 (parameter shift by one half step). The direct
     route is sum_direct's block reader with the weight z^k and the term
-    count shifted by that one index, and the same stop rule.
+    count shifted by that one index, and the same stop rule and error
+    floor (with |log z| for the weight's log).
     """
     if not 0.0 < z < 1.0:
         raise DomainError("require 0 < z < 1")
@@ -458,11 +511,13 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     if max_terms is None:
         max_terms = default_max_terms()
     # The term of index k is the ladder value at k - 1 times z^k.
-    s, _, t, used, stopped = _ladder_sum(c, x, math.log(z), 1, tol, max_terms)
+    lz = math.log(z)
+    s, sum_abs, t, used, stopped, mom = _ladder_sum(c, x, lz, 1, tol, max_terms)
     if not stopped:
         raise SlowConvergence("variant sum did not settle in %d terms" % max_terms)
     rho = min(z / (1.0 - math.sqrt(x)), 0.999999)
-    return EvalResult(value=s, abs_error_estimate=abs(t) * rho / (1.0 - rho),
+    est = abs(t) * rho / (1.0 - rho) + _error_floor(sum_abs, mom, abs(lz))
+    return EvalResult(value=s, abs_error_estimate=est,
                       terms_used=used, method=Method.Series)
 
 

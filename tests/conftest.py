@@ -128,14 +128,21 @@ def ref_series_sum(a, b, c, x, tol, max_terms):
 
 
 def ladder_block_edges(c, kmax):
-    """Indices k <= kmax at which the float ladder starts a new block: after
-    the series seeds, then block sizes doubling from the first up to the
-    ladder's cap."""
-    from hypersum.special import _FIRST_BLOCK, _LADDER_MAX_BLOCK
+    """Indices k <= kmax at which the float ladder starts a new block or
+    list: after the series seeds, every _READ_LIST steps of the loop phase
+    (the lists that the direct sums read; the loop phase's second
+    coefficient block starts on one of them), then the chunked blocks,
+    doubling from _CHUNKED_FROM up to the ladder's cap. Lists that a
+    rescale cuts short add edges of their own, which this leaves out."""
+    from hypersum.special import _CHUNKED_FROM, _FIRST_BLOCK, _LADDER_MAX_BLOCK, _LOOP_COEFFS
+    from hypersum.sums import _READ_LIST
 
+    assert _LOOP_COEFFS % _READ_LIST == 0 == (_CHUNKED_FROM - _FIRST_BLOCK) % _READ_LIST
     k = max(4, math.ceil(c + 1.5) + 1) + 2
-    n = _FIRST_BLOCK
-    edges = []
+    end = k + _CHUNKED_FROM - _FIRST_BLOCK
+    edges = list(range(k, min(end, kmax + 1), _READ_LIST))
+    k = end
+    n = _CHUNKED_FROM
     while k <= kmax:
         edges.append(k)
         k += n
@@ -143,35 +150,86 @@ def ladder_block_edges(c, kmax):
     return edges
 
 
+def ref_loop_ladder(c, x, n):
+    """Scalar reference for the ladder's loop phase: G_k for k < n as
+    (frac, exp) pairs, G_k = frac * 2**exp. The seeds come from
+    special._ladder_seeds; each later k takes one scalar
+    special._step_coeffs call at a = (k-1)/2 and steps
+    G_k = A G_(k-2) + B G_(k-4) in its parity's chain, a float times 2^e.
+    When a new value leaves [1e-250, 1e250] (and is not 0), it goes into
+    [1/2, 1) by a power of two, the chain's previous value and exponent
+    taking the same shift."""
+    from hypersum.special import _ladder_seeds, _step_coeffs
+
+    m = max(4, math.ceil(c + 1.5) + 1)
+    seeds = _ladder_seeds(c, x, m + 2)
+    out = [math.frexp(v) for v in seeds[:n]]
+    # [newest, previous, exponent] of the chain of k = m+2, then of k = m+3.
+    chains = [[seeds[m], seeds[m - 2], 0], [seeds[m + 1], seeds[m - 1], 0]]
+    for k in range(m + 2, n):
+        ch = chains[(k - m) % 2]
+        A, B = _step_coeffs((k - 1) / 2.0, c, x)
+        f = A * ch[0] + B * ch[1]
+        mid = ch[0]
+        if f and not 1e-250 < abs(f) < 1e250:
+            s = math.frexp(f)[1]
+            f = math.ldexp(f, -s)
+            mid = math.ldexp(mid, -s)
+            ch[2] += s
+        ch[0], ch[1] = f, mid
+        fr, fe = math.frexp(f)
+        out.append((fr, fe + ch[2]))
+    return out
+
+
 def ref_ladder_sum(c, x, lw, shift, tol, n):
     """Scalar reference for sums._ladder_sum: one loop over every value of
-    special._ladder with t_k = G_k exp((k + shift) lw), math.exp per term,
-    stopping at three terms in a row under tol with k > 2. Returns
-    (s, sum|t|, last term, terms read, stopped)."""
+    special._ladder, in the lists the reader reads, with
+    t_k = G_k exp((k + shift) lw) and math.exp per term, stopping at three
+    terms in a row under tol with k > 2. A value v with chain exponent e of
+    a list gives t = v exp(l), l = (k + shift) lw + e ln 2, when l <= 709,
+    and f exp(l + e' ln 2) otherwise, f 2^e' being v split by frexp (+-inf
+    past double range). A G_k = f 2^e of an array gives
+    f exp((k + shift) lw + e ln 2), infinite when that log passes 709.
+    Returns (s, sum|t|, last term, terms read, stopped, sum (k + shift)|t|)."""
     from hypersum.special import _ladder
+    from hypersum.sums import _READ_LIST
 
     ln2 = math.log(2.0)
     s = 0.0
     sum_abs = 0.0
+    mom = 0.0
     small = 0
     t = 0.0
     k = 0
-    for frac, exp in _ladder(c, x):
-        for f, e in zip(frac.tolist(), exp.tolist()):
+    for vals, e in _ladder(c, x, None, _READ_LIST):
+        is_list = type(vals) is list
+        if is_list:
+            exps = [e[j % 2] for j in range(len(vals))]
+        else:
+            vals, exps = vals.tolist(), e.tolist()
+        for v, ce in zip(vals, exps):
             if k == n:
-                return s, sum_abs, t, k, False
-            lt = (k + shift) * lw + e * ln2
-            if lt > 709.0:
-                t = math.copysign(math.inf, f) if f else 0.0
+                return s, sum_abs, t, k, False, mom
+            lt = (k + shift) * lw + ce * ln2
+            if lt <= 709.0:
+                t = v * math.exp(lt)
+            elif is_list:
+                f, fe = math.frexp(v)
+                try:
+                    t = f * math.exp(lt + fe * ln2) if f else 0.0
+                except OverflowError:
+                    t = math.copysign(math.inf, f)
             else:
-                t = f * math.exp(lt)
+                t = math.copysign(math.inf, v) if v else 0.0
             s += t
             a = abs(t)
             sum_abs += a
+            mom += (k + shift) * a
             if a < tol:
                 small += 1
                 if small >= 3 and k > 2:
-                    return s, sum_abs, t, k + 1, True
+                    return s, sum_abs, t, k + 1, True, mom
             else:
                 small = 0
             k += 1

@@ -17,6 +17,7 @@ from hypersum.errors import DomainError, NonConvergent
 from hypersum.special import (
     _CHUNKED_FROM,
     _LADDER_MAX_BLOCK,
+    _LOOP_COEFFS,
     _LOOP_TERMS,
     _SERIES_FIRST_BLOCK,
     DEFAULT_TOL,
@@ -30,12 +31,14 @@ from hypersum.special import (
     hyp2f1_large_k,
     hyp2f1_series,
     _chunked_block,
+    _ladder,
     _ladder_seeds,
     _ladder_upto,
     _series_sum,
 )
 
-from conftest import dec_context, dec_ladder, ladder_block_edges, mp_hyp2f1, mp_ladder, ref_series_sum
+from conftest import (dec_context, dec_ladder, ladder_block_edges, mp_hyp2f1, mp_ladder, ref_loop_ladder,
+                      ref_series_sum)
 
 
 class TestSeries:
@@ -411,7 +414,7 @@ class TestChunkedLadder:
                 scale[o:] = np.maximum(scale[o:], np.abs(lfrac[:-o]) * np.exp2(lexp[:-o] - lexp[o:]))
                 scale[:-o] = np.maximum(scale[:-o], np.abs(lfrac[o:]) * np.exp2(lexp[o:] - lexp[:-o]))
         assert np.all(np.abs(v - lfrac) <= n * 2.2e-16 * scale)
-        first = ladder_block_edges(c, n)[int(math.log2(switch // special._FIRST_BLOCK))]
+        first = ladder_block_edges(c, n)[0] + switch - special._FIRST_BLOCK
         assert (frac[:first] == lfrac[:first]).all() and (exp[:first] == lexp[:first]).all()
 
     @pytest.mark.parametrize("c", [0.6, 2.0, 7.3])
@@ -432,13 +435,61 @@ class TestChunkedLadder:
     @pytest.mark.parametrize("c,x", [(0.667, 2.18e-5), (2.5, 0.3), (1.2, -0.5)])
     def test_prefixes_around_switch_and_cap(self, c, x):
         edges = ladder_block_edges(c, 3 * _LADDER_MAX_BLOCK)
-        switch = edges[int(math.log2(_CHUNKED_FROM // special._FIRST_BLOCK))]
-        cap = edges[int(math.log2(_LADDER_MAX_BLOCK // special._FIRST_BLOCK))]
+        switch = next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM)
+        cap = next(e for e, f in zip(edges, edges[1:]) if f - e == _LADDER_MAX_BLOCK)
         top = cap + _LADDER_MAX_BLOCK + 2
         logs, signs = hyp2f1_ladder(c, x, top)
         for n in (switch, cap, cap + _LADDER_MAX_BLOCK):
             for kmax in (n - 2, n - 1, n, n + 1):
                 assert hyp2f1_ladder(c, x, kmax) == (logs[:kmax + 1], signs[:kmax + 1])
+
+
+def _loop_phase_end(c):
+    """Ladder index where the chunk transfers start."""
+    edges = ladder_block_edges(c, 4 * _CHUNKED_FROM)
+    return next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM)
+
+
+class TestLoopPhase:
+    """The first steps, stepped one at a time from coefficient blocks of
+    _LOOP_COEFFS steps and more, and handed out in lists."""
+
+    # x < 0, x near 0 and x near 1, where the loop phase rescales.
+    CASES = [(1.2, -0.7), (3.3, -0.1), (0.667, 2.18e-5), (2.0, 0.0), (2.5, 0.3), (0.7, 0.999)]
+
+    @pytest.mark.parametrize("c,x", CASES)
+    def test_values_match_scalar_steps(self, c, x):
+        # Bit for bit the scalar reference, up to the chunked switch, as
+        # arrays and as the direct sums' lists.
+        n = _loop_phase_end(c)
+        ref = ref_loop_ladder(c, x, n)
+        frac, exp = _values(c, x, n)
+        assert list(zip(frac.tolist(), exp.tolist())) == ref
+        got = []
+        for vals, (ep, eq) in _ladder(c, x, n, 32):
+            got += [(f, fe + (eq if j % 2 else ep)) for j, (f, fe) in enumerate(map(math.frexp, vals))]
+        assert got[:n] == ref
+        if x == 0.999:
+            # The loop phase rescales here: G_k passes 1e250 by k = 80.
+            assert max(e for _, e in ref) > 4 * 831
+
+    @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.5), (0.7, 0.999)])
+    def test_prefixes_around_lists_and_coefficient_blocks(self, c, x):
+        edges = ladder_block_edges(c, _loop_phase_end(c))
+        coeffs = {edges[0], edges[0] + _LOOP_COEFFS, edges[-1]}
+        logs, signs = hyp2f1_ladder(c, x, edges[-1] + 2)
+        for n in edges if x < 0.9 else sorted(coeffs):
+            for kmax in (n - 2, n - 1, n, n + 1):
+                assert hyp2f1_ladder(c, x, kmax) == (logs[:kmax + 1], signs[:kmax + 1])
+
+    def test_lists_are_cut_at_rescales(self):
+        # At x = 0.999 the chains rescale every few dozen steps, and each
+        # rescale cuts a list short: the loop phase comes in more than its
+        # 31 whole lists, each of even length at most 32.
+        c, x = 0.7, 0.999
+        lens = [len(v) for v, _ in _ladder(c, x, _loop_phase_end(c), 32)]
+        assert all(n % 2 == 0 and 0 < n <= 32 for n in lens[1:])
+        assert len(lens) > 1 + 992 // 32
 
 
 class TestLargeK:

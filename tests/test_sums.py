@@ -7,13 +7,13 @@ digits before freezing.
 """
 
 import math
+import random
 
 import pytest
 
 from hypersum.errors import DomainError, NotConvergent, SlowConvergence
-from hypersum.special import Method, _ladder_upto
+from hypersum.special import _CHUNKED_FROM, _LOOP_COEFFS, Method, _ladder_upto
 from hypersum.sums import (
-    _LOOP_READ,
     ClosedFormArgument,
     Reason,
     SumParams,
@@ -183,6 +183,38 @@ class TestSumDirect:
             ref = float(mp_hyp2f1(0.5, 1.0, c, x / X ** 2) / X)
             r = sum_direct(SumParams(eta, c, x))
             assert abs(r.value - ref) <= 10 * r.abs_error_estimate + 1e-13
+
+
+class TestDirectEstimates:
+    """sum_direct's estimate: geometric tail, rounding floor 4 eps sum|t|
+    and a drift term that grows with k, bounding the error."""
+
+    @pytest.mark.parametrize("c", [0.6, 2.0, 7.3])
+    def test_x_zero_with_tiny_eta(self, c):
+        # S(1e-3, c; 0) = 1001 over 32,256 terms; every G_k(c; 0) is 1, so
+        # the error is the ladder's drift (1.6e-10, 1.2e-11 and 1.8e-11).
+        r = sum_direct(SumParams(1e-3, c, 0.0))
+        assert abs(r.value - 1001.0) <= r.abs_error_estimate <= 1e-9 * 1001.0
+
+    def test_slow_sum_near_x_zero_against_closed(self):
+        # 46,373 terms; the two routes differ by 1.3e-9.
+        p = SumParams(0.00533, 0.667, 2.18e-5)
+        d = sum_direct(p)
+        cl = sum_closed(p)
+        assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
+
+    def test_seeded_interior_and_pocket_grid(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            eta = 1.0 + 2.5 * rng.random()
+            interior = SumParams(eta, rng.uniform(0.55, 5.95), rng.uniform(-0.98, 0.95))
+            eta = rng.uniform(0.15, 0.95)
+            pocket = SumParams(eta, rng.uniform(0.55, 5.95), rng.uniform(-0.9 * eta, 0.95 * eta * eta))
+            for p in (interior, pocket):
+                d = sum_direct(p)
+                cl = sum_closed(p)
+                assert d.abs_error_estimate <= 1e-9 * abs(cl.value), p
+                assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate, p
 
 
 class TestSumClosed:
@@ -417,22 +449,31 @@ class TestLadderSum:
     @staticmethod
     def _check(c, x, lw, shift, tol, n):
         # Only np.exp's last bit differs, term by term: the running sums
-        # stay within (terms read) eps sum|t| of the loop's.
+        # stay within (terms read) eps sum|t| of the loop's, and
+        # sum (k + shift)|t| within (terms read) eps of itself.
         got = _ladder_sum(c, x, lw, shift, tol, n)
         ref = ref_ladder_sum(c, x, lw, shift, tol, n)
-        assert got[3:] == ref[3:]
+        assert got[3:5] == ref[3:5]
         bound = ref[3] * 2.2e-16 * ref[1]
         assert abs(got[0] - ref[0]) <= bound
         assert abs(got[1] - ref[1]) <= bound
+        assert abs(got[5] - ref[5]) <= ref[3] * 2.2e-16 * ref[5]
         assert got[2] == pytest.approx(ref[2], rel=4.4e-16, abs=0)
         return got
 
     def _edges(self):
-        """Ladder index where the reader's first numpy block starts, and the
-        start of the block after it."""
-        edges = ladder_block_edges(self.C, 4 * _LOOP_READ)
-        first = next(e for e, f in zip(edges, edges[1:]) if f > _LOOP_READ)
+        """Ladder index where the reader's first numpy block starts (the
+        first chunked block), and the start of the block after it."""
+        edges = ladder_block_edges(self.C, 4 * _CHUNKED_FROM)
+        first = next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM)
         return first, edges[edges.index(first) + 1]
+
+    def _list_edges(self):
+        """Starts of the lists the reader reads term by term after the
+        seeds; the loop phase's second coefficient block starts on one."""
+        edges = ladder_block_edges(self.C, self._edges()[0])
+        assert edges[0] + _LOOP_COEFFS in edges
+        return edges[1:-1]
 
     def _tol_for_stop(self, k):
         """A tol that makes the (decreasing) terms stop at ladder index k:
@@ -445,22 +486,51 @@ class TestLadderSum:
     def test_stop_around_the_loop_block_switch(self, offset):
         k = self._edges()[0] + offset
         got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
-        assert got[3:] == (k + 1, True)
+        assert got[3:5] == (k + 1, True)
+
+    def test_stop_around_every_list_edge(self):
+        # Stops on the last value of a list, and on the first and second of
+        # the next, which carry two and one small terms across the edge.
+        for e in self._list_edges():
+            for k in (e - 1, e, e + 1):
+                got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+                assert got[3:5] == (k + 1, True)
+
+    def test_term_cap_around_every_list_edge(self):
+        for e in self._list_edges():
+            for n in (e - 1, e, e + 1):
+                assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:5] == (n, False)
+                assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:5] == (n, False)
+
+    @pytest.mark.parametrize("eta,c,x,n", [(0.5, 1.0, 0.5, 501), (0.3, 2.0, 0.5, 900),
+                                           (0.01, 60.0, -1.0, 1050)])
+    def test_override_divergence_in_the_loop_phase(self, eta, c, x, n):
+        # Divergent sums to a cap inside the loop phase. At x = 0.5 the
+        # values pass 1e250 near k = 470 and later lists carry exponents;
+        # at c = 60 the loop phase runs to k = 1,056, and the weight's log
+        # passes 709 at k = 1,038.
+        p = SumParams(eta, c, x)
+        lw = math.log1p(-x) - math.log1p(eta)
+        got = self._check(c, x, lw, 0, 1e-14, n)
+        assert got[3:5] == (n, False)
+        r = sum_direct(p, max_terms=n - 1, override_divergence=True)
+        assert (r.value, r.terms_used) == (got[0], n)
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_small_count_carries_across_a_block_edge(self, offset):
         # One or two of the three small terms sit in the block before.
         k = self._edges()[1] + offset
         got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
-        assert got[3:] == (k + 1, True)
+        assert got[3:5] == (k + 1, True)
 
     def test_term_cap_inside_a_block(self):
         n = self._edges()[1] + 100
-        assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:] == (n, False)
-        assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:] == (n, False)
+        assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:5] == (n, False)
+        assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:5] == (n, False)
 
     def test_direct_routes_at_a_cap_inside_a_block(self):
-        n = self._edges()[1] + 100
+        # (0.43, 2, 0.16) stops by tol at 1,073 terms.
+        n = self._edges()[0] + 50
         p = SumParams(0.43, 2.0, 0.16)
         assert not ref_ladder_sum(p.c, p.x, math.log1p(-p.x) - math.log1p(p.eta), 0, 1e-14, n)[4]
         with pytest.raises(SlowConvergence):
@@ -474,7 +544,7 @@ class TestLadderSum:
         lw = math.log1p(-p.x) - math.log1p(p.eta)
         got = _ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
         ref = ref_ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
-        assert got[3:] == ref[3:] == (3001, False)
+        assert got[3:5] == ref[3:5] == (3001, False)
         assert got[0] == ref[0] == math.inf and got[1] == ref[1] == math.inf
         r = sum_direct(p, max_terms=3000, override_divergence=True)
         assert r.value == math.inf and r.terms_used == 3001
@@ -482,11 +552,11 @@ class TestLadderSum:
     @pytest.mark.parametrize("z,c,x", [(0.5, 2.5, 0.24), (0.5, 2.5, 0.2499), (0.3, 0.8, 0.48),
                                        (0.6, 4.1, 0.155), (0.2, 1.7, 0.63), (0.4, 0.6, 0.355)])
     def test_letac_direct_against_closed(self, z, c, x):
-        # x near (1 - z)^2: the terms fall slowly and the sums run into
-        # numpy blocks (721 to 54,209 terms).
+        # x near (1 - z)^2: the terms fall slowly and the sums run past
+        # the loop phase's first coefficient block (721 to 54,209 terms).
         d = letac_sum(z, c, x, method="direct")
         ref = ref_ladder_sum(c, x, math.log(z), 1, 1e-14, 10**5)
-        assert ref[4] and d.terms_used == ref[3] > 2 * _LOOP_READ
+        assert ref[4] and d.terms_used == ref[3] > 2 * _LOOP_COEFFS
         cl = letac_sum(z, c, x)
         assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
         self._check(c, x, math.log(z), 1, 1e-14, 10**5)
