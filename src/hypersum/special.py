@@ -46,7 +46,7 @@ def default_max_terms():
 
     Two series do not follow it: hyp2f1_half_one raises the cap to at least
     2,000,000 terms for chi > 0.9, and the k-ladder's seed series
-    (_g_seed, _ladder_seeds) have their own 200,000-term cap.
+    (_ladder_seeds) have their own cap of _SEED_MAX_TERMS = 200,000 terms.
     """
     raw = os.environ.get("HYPERSUM_MAX_TERMS")
     if raw is None:
@@ -141,9 +141,10 @@ def gamma_sign(x):
 
 # _series_sum runs its plain loop for this many terms; a series still
 # running after that goes on in numpy blocks of _SERIES_FIRST_BLOCK columns,
-# doubling up to the ladder's block cap _MAX_BLOCK.
+# doubling up to _SERIES_MAX_BLOCK.
 _LOOP_TERMS = 1024
 _SERIES_FIRST_BLOCK = 256
+_SERIES_MAX_BLOCK = 2048
 # Rounding floor of a series estimate, per unit of sum |t|.
 _ROUNDING = 4.0 * 2.220446049250313e-16
 
@@ -274,7 +275,7 @@ def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, small, n, off):
                 off += e * _LN2
             if n >= max_terms:
                 return term, acc, mass, ratio, small, n, off
-            size = min(2 * size, _MAX_BLOCK)
+            size = min(2 * size, _SERIES_MAX_BLOCK)
 
 
 def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
@@ -312,8 +313,8 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
 
 def gauss_point(a, b, c):
     """2F1(a,b;c;1) by the Gauss summation theorem; requires c > a + b."""
-    if c <= a + b:
-        raise DomainError("Gauss point needs c > a + b")
+    if not (math.isfinite(a + b + c) and c > a + b):
+        raise DomainError("Gauss point needs finite a, b, c with c > a + b")
     try:
         lg = (log_abs_gamma(c) + log_abs_gamma(c - a - b)
               - log_abs_gamma(c - a) - log_abs_gamma(c - b))
@@ -355,10 +356,10 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
     the first 1,024 terms the series runs in numpy blocks, seven to ten
     times cheaper per term than the plain loop.
     """
-    if not c > 0:
-        raise DomainError("require c > 0")
-    if not chi <= 1.0:
-        raise DomainError("require chi <= 1")
+    if not 0 < c < math.inf:
+        raise DomainError("require finite c > 0")
+    if not -math.inf < chi <= 1.0:
+        raise DomainError("require finite chi <= 1")
     if chi == 1.0 and c <= 1.5:
         raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")
     if max_terms is None:
@@ -438,33 +439,10 @@ def hyp2f1_large_k(k, c, x):
 # The k-ladder: G_k = 2F1((k+1)/2, (k+2)/2; c; x) for k = 0..kmax.
 
 
-def _g_seed(k, c, x, tol=1e-17, max_terms=200_000):
-    """Value of G_k by one series: 2F1(a, b; c; x) for x >= 0, or by the
-    Pfaff map (1-x)^-a 2F1(a, c-b; c; x/(x-1)) for x < 0, where
-    a = (k+1)/2 and b = (k+2)/2.
-
-    The Pfaff argument x/(x-1) lies in (0, 1/2] for x in [-1, 0), which keeps
-    the series cancellation-free at small k. A series past _LOOP_TERMS terms
-    goes on in numpy blocks (see _series_sum). The point queries of
-    branching use this; the ladder computes its seeds together in
-    _ladder_seeds.
-    """
-    a = (k + 1) / 2.0
-    b = (k + 2) / 2.0
-    if x < 0.0:
-        u = x / (x - 1.0)
-        v, _, _, ok = _series_sum(a, c - b, c, u, tol, max_terms)
-        if not ok:
-            raise NonConvergent("ladder seed series stalled at k=%d" % k)
-        return (1.0 - x) ** (-a) * v
-    v, _, _, ok = _series_sum(a, b, c, x, tol, max_terms)
-    if not ok:
-        raise NonConvergent("ladder seed series stalled at k=%d" % k)
-    return v
-
-
 # A seed block holds at most this many terms (rows x columns).
 _SEED_BLOCK_SIZE = 8192
+_SEED_TOL = 1e-17
+_SEED_MAX_TERMS = 200_000
 
 
 def _seed_width(p, z, tol):
@@ -478,20 +456,21 @@ def _seed_width(p, z, tol):
     return int(n) + 1
 
 
-def _ladder_seeds(c, x, rows, tol=1e-17, max_terms=200_000):
-    """G_k for k = 0..rows-1 as a list of floats, all series in one pass.
+def _ladder_seeds(c, x, rows, k0=0):
+    """G_k for k = k0..k0+rows-1 (ints) as a list of floats, in one pass.
 
-    One column per k holds the series of _g_seed (the Pfaff series for
-    x < 0, whose values are then multiplied by (1-x)^-a with Python's
-    ``**``). Each block takes the column-wise multiply.accumulate of its
+    One column per k holds 2F1(a, b; c; x), a = (k+1)/2, b = a + 1/2, or for
+    x < 0 the Pfaff series 2F1(a, c-b; c; x/(x-1)), cancellation-free at
+    small k, whose values are then multiplied by (1-x)^-a with Python's
+    ``**``. Each block takes the column-wise multiply.accumulate of its
     term ratios, seeded by each column's last term, and adds it to the
     column sums. The first block is sized from the slowest series' decay
     and later ones double, within _SEED_BLOCK_SIZE terms. The pass ends
-    when every series' last two terms are at most tol times its sum; it
-    raises NonConvergent after max_terms terms, and OverflowError when a
-    series leaves double range.
+    when every series' last two terms are at most _SEED_TOL times its sum;
+    it raises NonConvergent after _SEED_MAX_TERMS terms, and OverflowError
+    when a series leaves double range.
     """
-    a = np.arange(1, rows + 1) / 2.0
+    a = np.arange(k0 + 1, k0 + rows + 1) / 2.0
     b = a + 0.5
     z = x
     if x < 0.0:
@@ -501,11 +480,11 @@ def _ladder_seeds(c, x, rows, tol=1e-17, max_terms=200_000):
     total = np.ones(rows)
     n = 0
     cap = max(2, _SEED_BLOCK_SIZE // rows)
-    size = _seed_width(rows - c - 0.5 if x >= 0.0 else 0.0, z, tol)
+    size = _seed_width(k0 + rows - c - 0.5 if x >= 0.0 else 0.0, z, _SEED_TOL)
     with np.errstate(over="raise", invalid="raise"):
         try:
             while True:
-                w = min(size, cap, max_terms - n)
+                w = min(size, cap, _SEED_MAX_TERMS - n)
                 ns = np.arange(n, n + w, dtype=float)[:, None]
                 t = a + ns
                 t *= b + ns
@@ -516,18 +495,18 @@ def _ladder_seeds(c, x, rows, tol=1e-17, max_terms=200_000):
                 last = np.abs(t[-2:]) if w > 1 else np.abs(np.stack([term, t[0]]))
                 term = t[-1]
                 n += w
-                small = last <= tol * np.abs(total)
+                small = last <= _SEED_TOL * np.abs(total)
                 if small.all():
                     break
-                if n >= max_terms:
-                    k = int(np.argmin(small.all(axis=0)))
+                if n >= _SEED_MAX_TERMS:
+                    k = k0 + int(np.argmin(small.all(axis=0)))
                     raise NonConvergent("ladder seed series stalled at k=%d" % k)
                 size *= 2
         except FloatingPointError:
             raise OverflowError("ladder seed series past double range") from None
     seeds = total.tolist()
     if x < 0.0:
-        return [(1.0 - x) ** (-(k + 1) / 2.0) * v for k, v in enumerate(seeds)]
+        return [(1.0 - x) ** (-(k + 1) / 2.0) * v for k, v in enumerate(seeds, k0)]
     return seeds
 
 
@@ -588,17 +567,8 @@ def _step_coeffs(a, c, x, gap=False):
     return A, B
 
 
-# The loop phase, the first _CHUNKED_FROM - _FIRST_BLOCK steps after the
-# seeds (as far as blocks doubling from _FIRST_BLOCK stay shorter than
-# _CHUNKED_FROM), goes step by step (_looped_block), from step
-# coefficients formed in one call for the first _LOOP_COEFFS steps and one
-# for the rest. After it, blocks of _CHUNKED_FROM steps doubling up to
-# _LADDER_MAX_BLOCK go by chunk transfers (_chunked_block), or step by step
-# where their transfers leave [_TINY, _HUGE]; a long ladder pays numpy's
-# per-call cost rarely. The series blocks of _series_blocks stop doubling
-# at _MAX_BLOCK.
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 2048
+# The phases and block sizes of _ladder, described in its docstring.
+_LOOP_STEPS = 992
 _CHUNKED_FROM = 1024
 _LADDER_MAX_BLOCK = 16384
 _LOOP_COEFFS = 256
@@ -817,14 +787,15 @@ def _ladder(c, x, n=None, width=None):
     even j and 2^eq for odd j. The first block holds the series seeds up to
     k = m+1, computed together in one pass of _ladder_seeds; the forward
     recurrence then runs with stride 2, one chain per parity. The loop phase
-    (the first _CHUNKED_FROM - _FIRST_BLOCK steps) forms its step
-    coefficients in one _step_coeffs call for the first _LOOP_COEFFS steps
-    and one for the rest, and steps them in a Python loop (_looped_block)
-    that runs only as far as the lists are read. After it, blocks of
-    _CHUNKED_FROM steps doubling up to _LADDER_MAX_BLOCK go by chunk
-    transfers (_chunked_block), falling back to the loop where those leave
-    [_TINY, _HUGE], as for x near 1, where one step can grow a value by
-    1e30. The part that reaches n is cut short, to whole chunks or steps.
+    (the first _LOOP_STEPS steps) forms its step coefficients in one
+    _step_coeffs call for the first _LOOP_COEFFS steps and one for the
+    rest, and steps them in a Python loop (_looped_block) that runs only as
+    far as the lists are read. After it, blocks of _CHUNKED_FROM steps
+    doubling up to _LADDER_MAX_BLOCK (so that a long ladder pays numpy's
+    per-call cost rarely) go by chunk transfers (_chunked_block), falling
+    back to the loop where those leave [_TINY, _HUGE], as for x near 1,
+    where one step can grow a value by 1e30. The part that reaches n is
+    cut short, to whole chunks or steps.
     Cutting changes none of the values kept, so G_k depends neither on n
     nor on ``width``, unless the cut decides whether a block's transfers
     stay in range.
@@ -843,7 +814,7 @@ def _ladder(c, x, n=None, width=None):
     # then of the other parity.
     chains = [[seeds[m], seeds[m - 2], 0, None], [seeds[m + 1], seeds[m - 1], 0, None]]
     k0 = m + 2
-    end = k0 + _CHUNKED_FROM - _FIRST_BLOCK
+    end = k0 + _LOOP_STEPS
     if n is not None:
         end = min(end, n)
     size = _LOOP_COEFFS
@@ -882,6 +853,21 @@ def _ladder_upto(c, x, n):
         k0 += m
         if k0 == n:
             return
+
+
+def _ladder_value(c, x, k):
+    """(frac, exp) with G_k = frac * 2**exp: for 0 < x < 1 and k <= 150 the
+    one column _ladder_seeds(c, x, 1, k), else (or where that series leaves
+    double range or stalls) the ladder's value. At x < 0 a single Pfaff
+    column loses every digit by k = 150."""
+    if 0.0 < x and k <= 150:
+        try:
+            return math.frexp(_ladder_seeds(c, x, 1, k)[0])
+        except (OverflowError, NonConvergent):
+            pass
+    for _, frac, exp in _ladder_upto(c, x, k + 1):
+        pass
+    return float(frac[-1]), int(exp[-1])
 
 
 def hyp2f1_ladder(c, x, kmax):

@@ -65,10 +65,10 @@ class SumParams:
     x: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise DomainError("require eta > 0")
-        if not self.c > 0:
-            raise DomainError("require c > 0")
+        if not 0 < self.eta < math.inf:
+            raise DomainError("require finite eta > 0")
+        if not 0 < self.c < math.inf:
+            raise DomainError("require finite c > 0")
         if not -1.0 <= self.x <= 1.0:
             raise DomainError("require -1 <= x <= 1")
 
@@ -407,21 +407,21 @@ def sum_closed(p):
     ``OverflowError``.
     """
     eta, c, x = p.eta, p.c, p.x
-    X = (x + eta) / (1.0 + eta)
+    arg = ClosedFormArgument.from_params(p)
     if x == -eta or abs(x + eta) <= 4e-16 * (abs(x) + eta):
         if c <= 0.5:
             raise DomainError("x = -eta limit needs c > 1/2")
         v = _finite(math.exp(log_abs_gamma(c) - log_abs_gamma(c - 0.5)) * math.sqrt(math.pi / eta), p)
         return EvalResult(value=v, abs_error_estimate=8.0 * v * 2.2e-16,
                           terms_used=0, method=Method.ClosedForm)
-    if X < 0.0:
+    if arg.X < 0.0:
         if c in (1.0, 2.0, 3.0):
             v = _finite(_special_value(c, eta, x), p)
             return EvalResult(value=v, abs_error_estimate=8.0 * abs(v) * 2.2e-16,
                               terms_used=0, method=Method.ClosedForm, continuation=True)
         raise DomainError(
             "x < -eta continuation is only available in elementary form (c in {1,2,3})")
-    xi = x / X / X
+    xi = arg.xi
     # x = eta^2 puts xi at 1 exactly in real arithmetic, but the float
     # quotient lands a couple ulp to either side; treat that as 1. So is an
     # eta that convergence_check puts on the boundary from below.
@@ -432,8 +432,8 @@ def sum_closed(p):
     if xi == 1.0 and c <= 1.5:
         raise DomainError("xi = 1 requires c > 3/2")
     inner = hyp2f1_half_one(c, xi)
-    v = _finite(inner.value / X, p)
-    est = inner.abs_error_estimate / X + 4.0 * abs(v) * 2.2e-16
+    v = _finite(inner.value / arg.X, p)
+    est = inner.abs_error_estimate / arg.X + 4.0 * abs(v) * 2.2e-16
     return EvalResult(value=v, abs_error_estimate=est,
                       terms_used=inner.terms_used, method=inner.method)
 

@@ -134,12 +134,12 @@ def ladder_block_edges(c, kmax):
     coefficient block starts on one of them), then the chunked blocks,
     doubling from _CHUNKED_FROM up to the ladder's cap. Lists that a
     rescale cuts short add edges of their own, which this leaves out."""
-    from hypersum.special import _CHUNKED_FROM, _FIRST_BLOCK, _LADDER_MAX_BLOCK, _LOOP_COEFFS
+    from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK, _LOOP_COEFFS, _LOOP_STEPS
     from hypersum.sums import _READ_LIST
 
-    assert _LOOP_COEFFS % _READ_LIST == 0 == (_CHUNKED_FROM - _FIRST_BLOCK) % _READ_LIST
+    assert _LOOP_COEFFS % _READ_LIST == 0 == _LOOP_STEPS % _READ_LIST
     k = max(4, math.ceil(c + 1.5) + 1) + 2
-    end = k + _CHUNKED_FROM - _FIRST_BLOCK
+    end = k + _LOOP_STEPS
     edges = list(range(k, min(end, kmax + 1), _READ_LIST))
     k = end
     n = _CHUNKED_FROM

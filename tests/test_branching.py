@@ -32,7 +32,7 @@ from hypersum.branching import (
     sibuya_pmf,
     solve_dual_root,
 )
-from hypersum.errors import DomainError, RootFindFailure
+from hypersum.errors import DomainError, NonConvergent, RootFindFailure
 from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK
 
 from conftest import ladder_block_edges
@@ -240,6 +240,19 @@ class TestProgenyHalfLaw:
             assert full[ell - 1] == pytest.approx(progeny_pmf(law, ell), rel=1e-13, abs=0)
             assert progeny_pmf_range(law, ell) == full[:ell]
 
+    @pytest.mark.parametrize("lam,ell", [(0.05, 151), (0.02, 100), (0.02, 50)])
+    def test_point_past_its_series_reads_the_ladder(self, lam, ell):
+        # G_(ell-1) at Q near 1: its one series leaves double range
+        # (ell = 151, 100) or stalls at the term cap (ell = 50), and the
+        # point query takes the ladder's value, as the range does.
+        law = ProgenyHalfLaw(lam)
+        assert progeny_pmf(law, ell) == pytest.approx(progeny_pmf_range(law, ell)[-1], rel=1e-13, abs=0)
+
+    def test_stalled_ladder_seeds_still_raise(self):
+        # At lam = 0.01 the ladder's own seed series stall as well.
+        with pytest.raises(NonConvergent):
+            progeny_pmf(ProgenyHalfLaw(0.01), 5)
+
     def test_near_certain_extinction_concentrates_at_one(self):
         # p_1 = 1/(1+lam); the rest of the mass is small but heavy-tailed.
         law = ProgenyHalfLaw(0.05)
@@ -376,6 +389,14 @@ class TestGeneralProgenyLaw:
                 assert general_progeny_pmf_range(law, m) == full[:m]
         for ell in range(1, 301):
             assert full[ell - 1] == pytest.approx(general_progeny_pmf(law, ell), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c,x", [(2.5, 0.99), (6.0, 0.99), (1.6, 0.999), (2.5, 0.999)])
+    def test_point_past_its_series_reads_the_ladder(self, c, x):
+        # G_150's one series leaves double range here; the point query
+        # takes the ladder's value, as the range does.
+        law = GeneralProgenyLaw(c, x)
+        assert general_progeny_pmf(law, 151) == pytest.approx(
+            general_progeny_pmf_range(law, 151)[-1], rel=1e-12, abs=0)
 
     def test_mass_when_tail_is_negligible(self):
         # c = 5 decays like ell^(-4.5); past 4000 the remainder is ~1e-13.

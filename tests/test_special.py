@@ -7,6 +7,7 @@ with the expression that generated it.
 import decimal
 import math
 import random
+import sys
 from decimal import Decimal as Dec
 
 import numpy as np
@@ -191,6 +192,25 @@ class TestLadderSeeds:
             for k, v in enumerate(seeds):
                 ref = mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, mp.mpf(c), mp.mpf(x))
                 assert abs(v - ref) <= 2e-14 * abs(ref), (k, v, ref)
+
+    @pytest.mark.parametrize("c", [0.6, 2.0, 5.9, 50.0])
+    @pytest.mark.parametrize("x", [0.05, 0.3, 0.9, 0.99])
+    def test_one_column_from_k0_matches_mpmath(self, c, x):
+        # The point queries' series: G_k alone, as the column
+        # _ladder_seeds(c, x, 1, k), within the point-vs-range tolerance.
+        # G_150 at x = 0.99 is past double range for c <= 5.9 (3e346 at
+        # c = 0.6), and the column raises there.
+        import mpmath as mp
+
+        for k in (0, 7, 40, 150):
+            with mp.workdps(60):
+                ref = mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, mp.mpf(c), mp.mpf(x))
+                if abs(ref) > sys.float_info.max:
+                    with pytest.raises(OverflowError):
+                        _ladder_seeds(c, x, 1, k)
+                    continue
+                v, = _ladder_seeds(c, x, 1, k)
+                assert abs(v - ref) <= 1e-13 * abs(ref), (k, v, ref)
 
     def test_stall_and_overflow_are_typed(self):
         with pytest.raises(NonConvergent):
@@ -396,16 +416,19 @@ class TestChunkedLadder:
         assert _error(c, x, frac, exp, dec_ladder(c, x, kmax)) <= 1.1 * loop_err
 
     @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.5), (0.7, 0.05), (3.3, -0.1)])
-    @pytest.mark.parametrize("switch", [special._FIRST_BLOCK, _CHUNKED_FROM])
+    @pytest.mark.parametrize("switch", [32, _CHUNKED_FROM])
     def test_chunked_blocks_match_loop_blocks(self, monkeypatch, c, x, switch):
-        # Chunked from the first block (or from the usual switch) against
-        # step-by-step blocks everywhere, in both transfer forms: within
-        # n eps of each other after n steps, relative to the envelope of
-        # |G| over 17 neighbours (|G| itself for x >= 0).
+        # Chunked from the first block, in blocks of 32 steps doubling (or
+        # from the usual switch), against step-by-step blocks everywhere,
+        # in both transfer forms: within n eps of each other after n steps,
+        # relative to the envelope of |G| over 17 neighbours (|G| itself
+        # for x >= 0).
         n = 6000
+        loop = 0 if switch < _CHUNKED_FROM else special._LOOP_STEPS
+        monkeypatch.setattr(special, "_LOOP_STEPS", loop)
         monkeypatch.setattr(special, "_CHUNKED_FROM", switch)
         frac, exp = _values(c, x, n)
-        monkeypatch.setattr(special, "_CHUNKED_FROM", 10**9)
+        monkeypatch.setattr(special, "_LOOP_STEPS", 10**9)
         lfrac, lexp = _values(c, x, n)
         v = frac * np.exp2(exp - lexp)
         scale = np.abs(lfrac)
@@ -414,7 +437,7 @@ class TestChunkedLadder:
                 scale[o:] = np.maximum(scale[o:], np.abs(lfrac[:-o]) * np.exp2(lexp[:-o] - lexp[o:]))
                 scale[:-o] = np.maximum(scale[:-o], np.abs(lfrac[o:]) * np.exp2(lexp[o:] - lexp[:-o]))
         assert np.all(np.abs(v - lfrac) <= n * 2.2e-16 * scale)
-        first = ladder_block_edges(c, n)[0] + switch - special._FIRST_BLOCK
+        first = ladder_block_edges(c, n)[0] + loop
         assert (frac[:first] == lfrac[:first]).all() and (exp[:first] == lexp[:first]).all()
 
     @pytest.mark.parametrize("c", [0.6, 2.0, 7.3])
