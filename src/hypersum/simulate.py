@@ -11,11 +11,9 @@ worker count.
 """
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .branching import ProgenyHalfLaw, extinction_prob, progeny_pmf_range
 from .errors import DomainError, InsufficientData
@@ -102,7 +100,9 @@ _BLOCK = 2 ** 14
 
 def _block_stream(seed, block):
     # Counter word 3 carries the block index: disjoint 2^192-draw streams
-    # per block, independent of scheduling.
+    # per block, independent of scheduling. numpy.random is imported here,
+    # not with the package, which most processes use without it.
+    from numpy.random import Generator, Philox
     return Generator(Philox(key=seed, counter=[0, 0, 0, block]))
 
 
@@ -172,6 +172,7 @@ def simulate_total_progeny(d, cfg):
     if len(ranges) == 1:
         counts, censored = _run_blocks(*ranges[0])
     else:
+        import multiprocessing
         with multiprocessing.Pool(len(ranges)) as pool:
             parts = pool.starmap(_run_blocks, ranges)
         counts = {}

@@ -44,9 +44,8 @@ _LN2 = math.log(2.0)
 def default_max_terms():
     """Global term cap, overridable through HYPERSUM_MAX_TERMS.
 
-    Two series do not follow it: hyp2f1_half_one raises the cap to at least
-    2,000,000 terms for chi > 0.9, and the k-ladder's seed series
-    (_ladder_seeds) have their own cap of _SEED_MAX_TERMS = 200,000 terms.
+    The k-ladder's seed series (_ladder_seeds) do not follow it: they have
+    their own cap of _SEED_MAX_TERMS = 200,000 terms.
     """
     raw = os.environ.get("HYPERSUM_MAX_TERMS")
     if raw is None:
@@ -61,7 +60,6 @@ class Method(enum.Enum):
     """How a value was produced."""
 
     Series = "Series"
-    EulerTransform = "EulerTransform"
     ClosedForm = "ClosedForm"
     GaussPoint = "GaussPoint"
 
@@ -149,7 +147,7 @@ _SERIES_MAX_BLOCK = 2048
 _ROUNDING = 4.0 * 2.220446049250313e-16
 
 
-def _series_sum(a, b, c, x, tol, max_terms):
+def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     """Scaled-accumulator core of the 2F1 partial sum.
 
     Returns (value, abs_error_estimate, terms_used, converged). Term
@@ -157,7 +155,10 @@ def _series_sum(a, b, c, x, tol, max_terms):
     large half-integer parameters (terms up to ~1e280 before the tail
     decays) neither overflow nor lose the sign bookkeeping. The estimate is
     the geometric tail from the last ratio plus a rounding floor of
-    4 eps sum|t| over the terms used.
+    4 eps sum|t| over the terms used. With ``drift`` it also adds
+    4 eps sum n|t_n|: term n is a product of n rounded ratios, and a
+    relative error d in x moves it by n d, so what grows linearly in n
+    outweighs the floor in a long series whose x carries rounding.
 
     The first _LOOP_TERMS terms run in a plain loop; a longer series goes on
     from the loop's state in numpy blocks (_series_blocks), whose result is
@@ -167,6 +168,7 @@ def _series_sum(a, b, c, x, tol, max_terms):
     acc = 1.0
     term = 1.0
     mass = 1.0         # sum |t|, for the rounding floor
+    mom = 0.0          # sum n|t_n|, for the drift
     ratio = 0.0
     small = 0
     n = 0
@@ -179,6 +181,7 @@ def _series_sum(a, b, c, x, tol, max_terms):
         at = abs(term)
         aa = abs(acc)
         mass += at
+        mom += n * at
         if at <= tol * aa:
             small += 1
             if small >= 2:
@@ -191,16 +194,17 @@ def _series_sum(a, b, c, x, tol, max_terms):
             term *= sc
             acc *= sc
             mass *= sc
+            mom *= sc
             off += e * _LN2
     if small < 2 and n < max_terms:
-        term, acc, mass, ratio, small, n, off = _series_blocks(
-            a, b, c, x, tol, max_terms, term, acc, mass, small, n, off)
+        term, acc, mass, mom, ratio, small, n, off = _series_blocks(
+            a, b, c, x, tol, max_terms, term, acc, mass, mom, small, n, off)
     converged = small >= 2
     # Geometric tail from the last ratio; the true ratio tends to |x|, so
     # never assume faster decay than that.
     r = min(abs(x), 0.999999)
     r = max(r, min(abs(ratio), 0.999999))
-    tail = abs(term) * r / (1.0 - r) + _ROUNDING * mass
+    tail = abs(term) * r / (1.0 - r) + _ROUNDING * (mass + mom if drift else mass)
     if off == 0.0:
         return acc, tail, n + 1, converged
     sign = 1.0 if acc >= 0 else -1.0
@@ -221,17 +225,19 @@ def _first(flags):
     return i if flags[i] else None
 
 
-def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, small, n, off):
+def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, mom, small, n, off):
     """_series_sum's loop from its state at term n, in numpy blocks.
 
     A block's ratios come from one array expression, its terms from one
     multiply.accumulate seeded by the carried term, its partial sums and
     sum|t| from add.accumulate seeded by the carried acc and mass. All run
-    in order, so each entry is the loop's value bit for bit. A block ends
+    in order, so each entry is the loop's value bit for bit (sum n|t_n|,
+    a plain sum per block, is the loop's only to rounding). A block ends
     early where the loop would stop (two small terms in a row, counting a
     small term carried in) or, failing that, at the first column whose
     |term| or |acc| passes _HUGE, which is rescaled as the loop rescales
-    it. Returns the loop's state (term, acc, mass, ratio, small, n, off).
+    it. Returns the loop's state
+    (term, acc, mass, mom, ratio, small, n, off).
     """
     size = _SERIES_FIRST_BLOCK
     # Columns past a cut may overflow; they are never read.
@@ -257,6 +263,9 @@ def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, small, n, off):
             big = _first((at[1:] > _HUGE) | (aa[1:] > _HUGE))
             rescale = big is not None and (end is None or big < end)
             j = big if rescale else w - 1 if end is None else end
+            ns += 1.0
+            ns[:j + 1] *= at[1:j + 2]
+            mom += float(ns[:j + 1].sum())
             at[0] = mass
             mass = float(np.add.accumulate(at[:j + 2])[-1])
             term = float(t[j + 1])
@@ -264,7 +273,7 @@ def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, small, n, off):
             ratio = float(r[j])
             n += j + 1
             if j == end:
-                return term, acc, mass, ratio, 2, n, off
+                return term, acc, mass, mom, ratio, 2, n, off
             small = 1 if ok[j] else 0
             if rescale:
                 e = math.frexp(max(abs(term), abs(acc)))[1]
@@ -272,9 +281,10 @@ def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, small, n, off):
                 term *= sc
                 acc *= sc
                 mass *= sc
+                mom *= sc
                 off += e * _LN2
             if n >= max_terms:
-                return term, acc, mass, ratio, small, n, off
+                return term, acc, mass, mom, ratio, small, n, off
             size = min(2 * size, _SERIES_MAX_BLOCK)
 
 
@@ -328,13 +338,13 @@ def gauss_point(a, b, c):
         return sign * math.inf
 
 
-def _half_one_closed(c, chi):
-    """Elementary forms of 2F1(1/2,1;c;chi) for c in {1,2,3,4}.
+def _half_one_closed(c, s):
+    """Elementary forms of 2F1(1/2,1;c;chi) for c in {1,2,3,4}, from
+    s = sqrt(1-chi).
 
     Written in conjugate-root form: the textbook chi^{-n} prefactor versions
     cancel catastrophically near chi=0, these do not. Valid for chi <= 1.
     """
-    s = math.sqrt(1.0 - chi)
     if c == 1.0:
         return 1.0 / s
     if c == 2.0:
@@ -344,27 +354,31 @@ def _half_one_closed(c, chi):
     return 0.4 * (3.0 + 9.0 * s + 8.0 * s * s) / (1.0 + s) ** 3
 
 
-def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
-    """Evaluate 2F1(1/2, 1; c; chi), dispatching on (c, chi).
+def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
+    """Evaluate 2F1(1/2, 1; c; chi) for chi <= 1.
 
     Routes: the unit-argument Gauss point for chi=1 (c > 3/2 only),
-    elementary closed forms for c in {1,2,3,4}, an argument transformation
-    onto (0,1) for chi < 0, and the direct series otherwise. For chi > 0.9
-    with generic c the series needs many terms (about 10^4 at chi = 0.999),
-    and the term cap is raised to at least 2,000,000 rather than switching
-    to connection formulas that would drag in Gamma-pole bookkeeping; past
-    the first 1,024 terms the series runs in numpy blocks, seven to ten
-    times cheaper per term than the plain loop.
+    elementary closed forms for c in {1,2,3,4}, and otherwise one series,
+    the quadratic transformation of Abramowitz & Stegun 15.3.19,
+
+        2F1(1/2, 1; c; chi) = 2/(1+s) 2F1(1, 2-c; c; w),
+
+    s = sqrt(1-chi), w = (1-s)/(1+s) = chi/(1+s)^2. It maps all of chi < 1
+    into |w| < 1; near chi = 1 its length grows like (1-chi)^(-1/2) (about
+    16/s terms for tol = 1e-14), and for integer c >= 5 it terminates. The
+    estimate is the series' tail and rounding floor plus 4 eps sum n|t_n|,
+    which bounds what the rounding of w does to a long series.
+
+    ``_s`` is private: s formed by a caller that knows 1 - chi better than
+    the rounded chi does (sums.sum_closed, sums.letac_sum).
     """
     if not 0 < c < math.inf:
         raise DomainError("require finite c > 0")
     if not -math.inf < chi <= 1.0:
         raise DomainError("require finite chi <= 1")
-    if chi == 1.0 and c <= 1.5:
-        raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")
-    if max_terms is None:
-        max_terms = default_max_terms()
     if chi == 1.0:
+        if c <= 1.5:
+            raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")
         v = gauss_point(0.5, 1.0, c)
         return EvalResult(
             value=v,
@@ -372,30 +386,29 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None):
             terms_used=0,
             method=Method.GaussPoint,
         )
+    s = math.sqrt(1.0 - chi) if _s is None else _s
     if c in (1.0, 2.0, 3.0, 4.0):
-        v = _half_one_closed(c, chi)
+        v = _half_one_closed(c, s)
         return EvalResult(
             value=v,
             abs_error_estimate=4.0 * abs(v) * 2.2e-16,
             terms_used=0,
             method=Method.ClosedForm,
         )
-    if chi < 0.0:
-        # Map chi -> chi/(chi-1) = |chi|/(|chi|+1) in (0,1); the transformed
-        # series has no sign alternation.
-        u = chi / (chi - 1.0)
-        pref = (1.0 - chi) ** (-0.5)
-        value, tail, used, ok = _series_sum(0.5, c - 1.0, c, u, tol, max_terms)
-        if not ok:
-            raise NonConvergent("transformed series hit the %d-term cap" % max_terms)
-        return EvalResult(
-            value=pref * value,
-            abs_error_estimate=pref * tail,
-            terms_used=used,
-            method=Method.EulerTransform,
-        )
-    cap = max(max_terms, 2_000_000) if chi > 0.9 else max_terms
-    return hyp2f1_series(HypParams(0.5, 1.0, c, chi), tol=tol, max_terms=cap)
+    if max_terms is None:
+        max_terms = default_max_terms()
+    # Two divisions: (1+s)^2 overflows for chi below about -1.7e308.
+    w = chi / (1.0 + s) / (1.0 + s)
+    value, tail, used, ok = _series_sum(1.0, 2.0 - c, c, w, tol, max_terms, drift=True)
+    if not ok:
+        raise NonConvergent("quadratic-transformation series hit the %d-term cap" % max_terms)
+    pref = 2.0 / (1.0 + s)
+    return EvalResult(
+        value=pref * value,
+        abs_error_estimate=pref * tail,
+        terms_used=used,
+        method=Method.Series,
+    )
 
 
 def hyp2f1_large_k(k, c, x):
@@ -572,6 +585,7 @@ _LOOP_STEPS = 992
 _CHUNKED_FROM = 1024
 _LADDER_MAX_BLOCK = 16384
 _LOOP_COEFFS = 256
+_LOOP_PIECE = 1024
 
 
 def _rescale(f, f1):
@@ -597,50 +611,68 @@ def _looped_block(k0, w, c, x, chains, width):
     [_TINY, _HUGE], a power of two moves from the chain's values into its
     exponent and the list ends before it. Nothing is computed before the
     first list is asked for, and ``chains`` is updated once the block has
-    run through.
+    run through. The coefficients become Python floats _LOOP_PIECE at a
+    time (``width`` divides _LOOP_PIECE, or w is at most _LOOP_PIECE).
     """
     A, B = _step_coeffs(np.arange(k0 - 1, k0 - 1 + w) / 2.0, c, x)
-    A = A.tolist()
-    B = B.tolist()
     (p1, p2, ep, _), (q1, q2, eq, _) = chains
     lo, hi = _TINY, _HUGE
-    for i in range(0, len(A), width):
-        out = []
-        put = out.append
-        j = i + width
-        for a0, b0, a1, b1 in zip(A[i:j:2], B[i:j:2], A[i + 1:j:2], B[i + 1:j:2]):
-            f = a0 * p1 + b0 * p2
-            g = a1 * q1 + b1 * q2
-            if not (lo < abs(f) < hi and lo < abs(g) < hi):
-                f, p1, s = _rescale(f, p1)
-                g, q1, t = _rescale(g, q1)
-                if s or t:
-                    if out:
-                        yield out, (ep, eq)
-                        out = []
-                        put = out.append
-                    ep += s
-                    eq += t
-            p2 = p1
-            p1 = f
-            q2 = q1
-            q1 = g
-            put(f)
-            put(g)
-        yield out, (ep, eq)
+    for piece in range(0, w, _LOOP_PIECE):
+        Ap = A[piece:piece + _LOOP_PIECE].tolist()
+        Bp = B[piece:piece + _LOOP_PIECE].tolist()
+        for i in range(0, len(Ap), width):
+            out = []
+            put = out.append
+            j = i + width
+            for a0, b0, a1, b1 in zip(Ap[i:j:2], Bp[i:j:2], Ap[i + 1:j:2], Bp[i + 1:j:2]):
+                f = a0 * p1 + b0 * p2
+                g = a1 * q1 + b1 * q2
+                if not (lo < abs(f) < hi and lo < abs(g) < hi):
+                    f, p1, s = _rescale(f, p1)
+                    g, q1, t = _rescale(g, q1)
+                    if s or t:
+                        if out:
+                            yield out, (ep, eq)
+                            out = []
+                            put = out.append
+                        ep += s
+                        eq += t
+                p2 = p1
+                p1 = f
+                q2 = q1
+                q1 = g
+                put(f)
+                put(g)
+            yield out, (ep, eq)
     chains[0] = [p1, p2, ep, None]
     chains[1] = [q1, q2, eq, None]
 
 
 def _frexp_lists(lists):
     """(frac, exp) arrays of the (vals, (ep, eq)) lists of _looped_block,
-    in order, with G = frac * 2**exp."""
+    in order, with G = frac * 2**exp. The values go into numpy once
+    _LOOP_PIECE of them have come, so few Python floats live at once."""
+    parts = []
     vals = []
     shifts = []
     for v, e in lists:
         if e != (0, 0):
             shifts.append((len(vals), len(v), e))
         vals += v
+        if len(vals) >= _LOOP_PIECE:
+            parts.append(_frexp_part(vals, shifts))
+            vals = []
+            shifts = []
+    if vals or not parts:
+        parts.append(_frexp_part(vals, shifts))
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([f for f, _ in parts]), np.concatenate([e for _, e in parts])
+
+
+def _frexp_part(vals, shifts):
+    """_frexp_lists' arrays of one run of lists: ``vals`` their values and
+    ``shifts`` (start, length, (ep, eq)) of each list with exponents."""
     frac, exp = np.frexp(np.array(vals))
     for j, w, (ep, eq) in shifts:
         exp[j:j + w:2] += ep
@@ -793,9 +825,9 @@ def _ladder(c, x, n=None, width=None):
     far as the lists are read. After it, blocks of _CHUNKED_FROM steps
     doubling up to _LADDER_MAX_BLOCK (so that a long ladder pays numpy's
     per-call cost rarely) go by chunk transfers (_chunked_block), falling
-    back to the loop where those leave [_TINY, _HUGE], as for x near 1,
-    where one step can grow a value by 1e30. The part that reaches n is
-    cut short, to whole chunks or steps.
+    back to the loop (in lists of _LOOP_PIECE values) where those leave
+    [_TINY, _HUGE], as for x near 1, where one step can grow a value by
+    1e30. The part that reaches n is cut short, to whole chunks or steps.
     Cutting changes none of the values kept, so G_k depends neither on n
     nor on ``width``, unless the cut decides whether a block's transfers
     stay in range.
@@ -835,7 +867,7 @@ def _ladder(c, x, n=None, width=None):
         block = _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)
         if block is None:
             w += w % 2
-            block = _frexp_lists(_looped_block(k0, w, c, x, chains, w))
+            block = _frexp_lists(_looped_block(k0, w, c, x, chains, _LOOP_PIECE))
         yield block
         k0 += len(block[0])
         size = min(2 * size, _LADDER_MAX_BLOCK)

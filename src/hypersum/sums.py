@@ -178,7 +178,7 @@ def _far_term(v, lt):
         return math.copysign(math.inf, f)
 
 
-def _ladder_sum(c, x, lw, shift, tol, n):
+def _ladder_sum(c, x, lw, shift, tol, n, mark=None):
     """Running sum of t_k = G_k exp((k + shift) lw) over ladder indices
     k = 0..n-1 of special._ladder, stopping once three terms in a row have
     |t| < tol with k > 2.
@@ -192,13 +192,15 @@ def _ladder_sum(c, x, lw, shift, tol, n):
     The (frac, exp) arrays of the chunk transfers go through _block_sum,
     where a term whose log passes 709 counts as infinite (0 where G_k is
     0). Returns (s, sum|t|, last term, terms read, stopped,
-    sum (k + shift)|t|).
+    sum (k + shift)|t|, t_mark), t_mark being the term of index ``mark``
+    when a chunked block holds it (None otherwise).
     """
     s = 0.0
     sum_abs = 0.0
     mom = 0.0
     small = 0
     t = 0.0
+    t_mark = None
     k = 0
     exp = math.exp
     for vals, e in _ladder(c, x, n, _READ_LIST):
@@ -221,20 +223,23 @@ def _ladder_sum(c, x, lw, shift, tol, n):
                 if a < tol:
                     small += 1
                     if small >= 3 and k > 3:
-                        return s, sum_abs, t, k, True, mom
+                        return s, sum_abs, t, k, True, mom, t_mark
                 else:
                     small = 0
         else:
             m = min(len(vals), n - k)
+            if mark is not None and k <= mark < k + m:
+                j = mark - k
+                t_mark = _far_term(float(vals[j]), (mark + shift) * lw + int(e[j]) * _LN2)
             s, sum_abs, mom, t, used, small = _block_sum(vals[:m], e[:m], k, shift, lw, tol,
                                                          s, sum_abs, mom, small)
             k += used
             if small == 3:
-                return s, sum_abs, t, k, True, mom
+                return s, sum_abs, t, k, True, mom, t_mark
             # Let the block go before the ladder forms the next one.
             del vals, e
         if k == n:
-            return s, sum_abs, t, k, False, mom
+            return s, sum_abs, t, k, False, mom, t_mark
 
 
 def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
@@ -279,6 +284,64 @@ def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
     return s, sum_abs, mom, t, end, small
 
 
+# sum_direct's fitted tail: only for caps of at least _TAIL_FROM terms,
+# where the 1/k fit of the large-k profile holds, fitted to the last term
+# and the one _TAIL_BLOCK places before it, and summed in blocks of
+# _TAIL_BLOCK terms, at most _TAIL_MAX_TERMS of them.
+_TAIL_FROM = 10_000
+_TAIL_BLOCK = 2048
+_TAIL_MAX_TERMS = 1 << 22
+
+
+def _fitted_tail(p, K, t_K, t_J):
+    """(tail, its estimate, sum k|t| over it) of a convergent direct sum
+    with 0 < x < 1 cut after index K, or None where the fit does not apply.
+
+    For 0 < x < 1 the terms follow the large-k profile
+    t_k ~ C k^beta r^k e^(d/k), beta = 1/2 - c, r = _term_decay_ratio(p).
+    d comes from log t_k - beta log k - k log r = a + d/k at k = K and at
+    J = K - _TAIL_BLOCK; then
+    tail = t_K sum_{j>=1} r^j (1 + j/K)^beta e^(d (1/(K+j) - 1/K)),
+    summed in blocks until its terms fall under 1e-17 of it, and its
+    estimate is |tail - the same sum with d = 0|.
+    """
+    J = K - _TAIL_BLOCK
+    if t_J is None or not (math.isfinite(t_K) and math.isfinite(t_J)) or t_K * t_J <= 0.0:
+        return None
+    beta = 0.5 - p.c
+    lr = math.log1p(math.sqrt(p.x)) - math.log1p(p.eta)
+    if lr * _TAIL_MAX_TERMS > -50.0:
+        # r^j would not fall far enough within _TAIL_MAX_TERMS terms.
+        return None
+    dL = math.log(t_K / t_J) - beta * math.log(K / J) - (K - J) * lr
+    d = -dL * (K / _TAIL_BLOCK) * J
+    total = 0.0
+    diff = 0.0
+    mom = 0.0
+    js = np.arange(1.0, _TAIL_BLOCK + 1.0)
+    for j0 in range(0, _TAIL_MAX_TERMS, _TAIL_BLOCK):
+        j = js + j0
+        f = np.log1p(j / K)
+        f *= beta
+        f += j * lr
+        np.exp(f, out=f)
+        g = np.expm1(-d * j / (K * (K + j)))
+        g *= f
+        f += g
+        total += float(f.sum())
+        diff += float(g.sum())
+        j += K
+        j *= f
+        mom += float(j.sum())
+        if not math.isfinite(total):
+            return None
+        # The terms fall from here on once beta/(K+j) + log r < 0.
+        if f[-1] <= 1e-17 * total and beta < -lr * (K + j0 + _TAIL_BLOCK):
+            a = abs(t_K)
+            return t_K * total, a * abs(diff), a * mom
+    return None
+
+
 def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     """S(eta, c; x) by term-wise summation.
 
@@ -296,6 +359,17 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     4 eps sum|t| for rounding, plus eps (32 + |log(1-x)| + log(1+eta))
     sum k|t| for what grows linearly in k: the ladder's drift and the
     rounding of the weight's exponent.
+
+    A convergent sum with 0 < x < 1, off the boundary, that reaches a cap
+    K = ``max_terms`` of at least 10,000 terms adds a fitted tail instead
+    of raising (_fitted_tail): the paper's large-k profile
+    t_k ~ C k^(1/2-c) r^k e^(d/k), r = (1+sqrt(x))/(1+eta), with d fitted
+    to the sum's own terms at K and 2,048 before it. Its estimate is
+    |tail - tail with d = 0| plus the floor above over terms and tail. The
+    tail uses only ladder terms, r and c, nothing of the closed form. Below
+    that cap, at x <= 0 (where G_k oscillates) and where the tail would
+    need more than about 4 million terms, the sum raises
+    ``SlowConvergence``.
 
     On a Theorem-type convergence boundary the terms decay only like
     k^(1/2-c); the sum then runs to ``max_terms`` and an integral-comparison
@@ -320,8 +394,13 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
                           terms_used=1, method=Method.GaussPoint)
     l1x = math.log1p(-p.x)
     l1e = math.log1p(p.eta)
-    s, sum_abs, t, used, stopped, mom = _ladder_sum(p.c, p.x, l1x - l1e, 0, tol, max_terms + 1)
-    floor = _error_floor(sum_abs, mom, abs(l1x) + l1e)
+    fit = (verdict.convergent and not verdict.on_boundary and p.x > 0.0
+           and max_terms >= _TAIL_FROM)
+    mark = max_terms - _TAIL_BLOCK if fit else None
+    s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(p.c, p.x, l1x - l1e, 0, tol,
+                                                            max_terms + 1, mark)
+    log_scale = abs(l1x) + l1e
+    floor = _error_floor(sum_abs, mom, log_scale)
     if not stopped:
         last = abs(t)
         if verdict.on_boundary and verdict.convergent:
@@ -329,6 +408,12 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             # sum_{j>K} ~ C K^{3/2-c}/(c-3/2) = t_K * K/(c-3/2).
             tail = last * max_terms / (p.c - 1.5)
             return EvalResult(value=s, abs_error_estimate=tail + floor,
+                              terms_used=max_terms + 1, method=Method.Series)
+        tail = _fitted_tail(p, max_terms, t, t_mark) if fit else None
+        if tail is not None:
+            tail, est, tail_mom = tail
+            floor = _error_floor(sum_abs + abs(tail), mom + tail_mom, log_scale)
+            return EvalResult(value=s + tail, abs_error_estimate=est + floor,
                               terms_used=max_terms + 1, method=Method.Series)
         if override_divergence:
             return EvalResult(value=s, abs_error_estimate=last if math.isfinite(s) else math.inf,
@@ -352,17 +437,14 @@ def _two_square(a):
     return hi, ((ah * ah - hi) + 2.0 * ah * al) + al * al
 
 
-def _special_value(c, eta, x):
-    """Elementary S for c in {1,2,3}, conjugate-root form.
+def _conj_root(eta, x):
+    """R = sqrt((1-x)(eta^2-x)), real and positive on the whole x <= eta^2
+    range.
 
-    R = sqrt((1-x)(eta^2-x)) stays real and positive on the whole
-    x <= eta^2 range, including x < -eta, where this expression is the
-    analytic continuation with the correct square-root branch. Regular at
-    x = 0 and at R = 0 (the eta = sqrt(x) boundary) by construction.
-    sqrt(eta^2-x) is formed as hypot(eta, sqrt(-x)) for x <= 0. Above, next
-    to the eta = sqrt(x) boundary eta^2 - x cancels, so it is formed from
-    the exact square hi + lo of eta, where hi - x is exact; an eta within
-    the boundary tolerance below sqrt(x) counts as on the boundary. eta^2
+    sqrt(eta^2-x) is formed as hypot(eta, sqrt(-x)) for x <= 0. Above,
+    next to the eta = sqrt(x) boundary eta^2 - x cancels, so it is formed
+    from the exact square hi + lo of eta, where hi - x is exact; an eta
+    within the boundary tolerance below sqrt(x) gives R = 0. eta^2
     overflows past eta ~ 1e154, far from the boundary, where
     sqrt(eta) sqrt(eta - x/eta) does not cancel.
     """
@@ -373,7 +455,17 @@ def _special_value(c, eta, x):
         e = math.sqrt(max((hi - x) + lo, 0.0))
     else:
         e = math.sqrt(eta) * math.sqrt(eta - x / eta)
-    R = math.sqrt(1.0 - x) * e
+    return math.sqrt(1.0 - x) * e
+
+
+def _special_value(c, eta, x):
+    """Elementary S for c in {1,2,3}, conjugate-root form.
+
+    With R = _conj_root(eta, x), this expression is, at x < -eta, the
+    analytic continuation with the correct square-root branch. Regular at
+    x = 0 and at R = 0 (the eta = sqrt(x) boundary) by construction.
+    """
+    R = _conj_root(eta, x)
     if c == 1.0:
         return (1.0 + eta) / R
     D = eta + x + R
@@ -393,7 +485,13 @@ def sum_closed(p):
     """S(eta, c; x) through the one-function closed form.
 
     Builds X = (x+eta)/(1+eta) and xi = x/X^2 and evaluates
-    2F1(1/2, 1; c; xi)/X. Three special regimes:
+    2F1(1/2, 1; c; xi)/X by hyp2f1_half_one's quadratic-transformation
+    series, with s = sqrt(1-xi) taken from (eta, x) as
+    s = sqrt((1-x)(eta^2-x))/(x+eta), since 1 - xi = (1-x)(eta^2-x)/(x+eta)^2.
+    Near xi = 1, next to the eta = sqrt(x) boundary, 1 - xi cancels in
+    the rounded xi: at (0.98958, 0.47498, 0.97902) an s taken from xi put
+    the value 1.7e-10 (relative) off 40-digit mpmath, against 4.2e-12 from
+    (eta, x). Three special regimes:
 
     * x = -eta (X = 0): the finite limit Gamma(c)/Gamma(c-1/2) sqrt(pi/eta).
     * x < -eta (X < 0, only reachable for eta < 1): the naive 1/X route
@@ -429,9 +527,12 @@ def sum_closed(p):
         xi = 1.0
     if xi > 1.0:
         raise DomainError("closed form needs xi = x/X^2 <= 1, got %g" % xi)
-    if xi == 1.0 and c <= 1.5:
-        raise DomainError("xi = 1 requires c > 3/2")
-    inner = hyp2f1_half_one(c, xi)
+    s = _conj_root(eta, x) / (x + eta) if xi < 1.0 else 0.0
+    if s == 0.0:
+        if c <= 1.5:
+            raise DomainError("xi = 1 requires c > 3/2")
+        xi = 1.0
+    inner = hyp2f1_half_one(c, xi, _s=s)
     v = _finite(inner.value / arg.X, p)
     est = inner.abs_error_estimate / arg.X + 4.0 * abs(v) * 2.2e-16
     return EvalResult(value=v, abs_error_estimate=est,
@@ -501,7 +602,11 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise DomainError("require c > 0")
     method = method.lower()
     if method == "closed":
-        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2)
+        # s = sqrt(1 - chi) from (1-z)^2 - x = (1-z-sqrt(x))(1-z+sqrt(x)),
+        # which does not cancel next to x = (1-z)^2.
+        r = math.sqrt(x)
+        s = math.sqrt((1.0 - z - r) * (1.0 - z + r)) / (1.0 - z)
+        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2, _s=s)
         pref = z / (1.0 - z)
         return EvalResult(value=pref * inner.value,
                           abs_error_estimate=pref * inner.abs_error_estimate,
@@ -512,7 +617,7 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         max_terms = default_max_terms()
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
-    s, sum_abs, t, used, stopped, mom = _ladder_sum(c, x, lz, 1, tol, max_terms)
+    s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms)
     if not stopped:
         raise SlowConvergence("variant sum did not settle in %d terms" % max_terms)
     rho = min(z / (1.0 - math.sqrt(x)), 0.999999)

@@ -265,3 +265,12 @@ class TestImportSurface:
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_random_or_multiprocessing(self):
+        # simulate imports them where it draws and where it forks workers.
+        code = ("import sys, hypersum.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m.startswith('numpy.random')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

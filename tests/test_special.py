@@ -10,6 +10,7 @@ import random
 import sys
 from decimal import Decimal as Dec
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -260,8 +261,9 @@ class TestHalfOneDispatch:
                 2.0 / (1.0 + s), rel=1e-14)
 
     def test_routes(self):
+        # One quadratic-transformation series on both sides of chi = 0.
         assert hyp2f1_half_one(2.5, 0.5).method is Method.Series
-        assert hyp2f1_half_one(2.5, -2.0).method is Method.EulerTransform
+        assert hyp2f1_half_one(2.5, -2.0).method is Method.Series
         assert hyp2f1_half_one(3.0, 0.5).method is Method.ClosedForm
 
     def test_series_matches_closed(self):
@@ -297,6 +299,59 @@ class TestHalfOneDispatch:
             r = hyp2f1_half_one(c, chi)
             ref = mp_hyp2f1(0.5, 1.0, c, chi, dps=40)
             assert abs(r.value - ref) <= r.abs_error_estimate, (c, chi)
+
+
+def _mp_half_one(c, chi):
+    """2F1(1/2, 1; c; chi) at 40 digits, at the exact values of the floats:
+    next to chi = 1 the decimal repr of chi moves 1 - chi by 3e-11
+    relative at chi = 1 - 1e-6."""
+    with mp.workdps(40):
+        return mp.hyp2f1(mp.mpf(1) / 2, 1, mp.mpf(c), mp.mpf(chi))
+
+
+class TestQuadraticSeries:
+    """hyp2f1_half_one's one series, 2/(1+s) 2F1(1, 2-c; c; w), judged by
+    mpmath."""
+
+    def test_estimate_bounds_error_over_the_whole_range(self):
+        # c log-uniform on [0.3, 50], 1 - chi log-uniform on [1e-9, 1e6 + 1].
+        # Next to chi = 1 - 1e-9 a c below 3/2 needs about 4e5 terms, so the
+        # cap is raised past that.
+        rng = random.Random(15319)
+        for _ in range(300):
+            c = 0.3 * (50.0 / 0.3) ** rng.random()
+            chi = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(1e6 + 1.0))
+            r = hyp2f1_half_one(c, chi, max_terms=10**6)
+            assert r.method is Method.Series
+            ref = _mp_half_one(c, chi)
+            assert abs(r.value - ref) <= r.abs_error_estimate, (c, chi)
+            # The rounding floor 4 eps sum|t| is loose where w nears -1 and
+            # the terms alternate: up to 7e-6 relative at chi = -5e5.
+            assert r.abs_error_estimate <= 1e-5 * abs(r.value), (c, chi)
+
+    @pytest.mark.parametrize("c,chi,terms", [(0.6, 1.0 - 1e-6, 20_000), (1.3, -1e6, 20_000)])
+    def test_points_past_the_old_dispatch(self, c, chi, terms):
+        # The plain series raised at its 2,000,000-term cap at c = 0.6 and
+        # the Euler transform at the 1e5-term cap at chi = -1e6.
+        r = hyp2f1_half_one(c, chi)
+        assert r.terms_used < terms
+        ref = _mp_half_one(c, chi)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+        assert abs(r.value - ref) <= 1e-11 * abs(ref)
+
+    def test_integer_c_terminates(self):
+        # 2F1(1, 2-c; c; w) is a polynomial of degree c - 2 for integer c.
+        r = hyp2f1_half_one(7.0, -30.0)
+        assert r.terms_used <= 8
+        assert r.value == pytest.approx(float(_mp_half_one(7.0, -30.0)), rel=1e-14)
+
+    def test_drift_term_is_opt_in(self):
+        # The plain series keeps its estimate; the drift only adds.
+        args = (1.0, 2.0 - 0.4, 0.4, 0.99, 1e-14, 10**5)
+        plain = _series_sum(*args)
+        drift = _series_sum(*args, drift=True)
+        assert plain[0] == drift[0] and plain[2:] == drift[2:]
+        assert drift[1] > plain[1]
 
 
 class TestLadder:

@@ -9,6 +9,7 @@ digits before freezing.
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from hypersum.errors import DomainError, NotConvergent, SlowConvergence
@@ -25,6 +26,7 @@ from hypersum.sums import (
     sum_direct,
     sum_special,
     _ladder_sum,
+    _TAIL_FROM,
 )
 
 from conftest import ladder_block_edges, mp_hyp2f1, ref_ladder_sum
@@ -215,6 +217,97 @@ class TestDirectEstimates:
                 cl = sum_closed(p)
                 assert d.abs_error_estimate <= 1e-9 * abs(cl.value), p
                 assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate, p
+
+
+# The x > 0 boundary triples whose direct sums reach the 1e5-term cap: a
+# fixed skeleton of 11 (eta, c, x), each under three seeded jitters of 0.2%
+# of its ranges, from eta 1e-4 to 3 times above sqrt(x).
+CAPPED_BOUNDARY = [
+    (0.10685634837600418, 1.0684684778570244, 0.011387503814388605),
+    (0.5510039705011687, 1.2185610897027541, 0.3032615739360473),
+    (0.7712864881256816, 1.397343998615012, 0.5945998996980878),
+    (0.629180163889749, 0.3647471972837254, 0.3953062592996825),
+    (0.8290450864618671, 0.4169260262120099, 0.6869123455511685),
+    (0.9898192576827941, 0.4737212793705233, 0.9795030923980178),
+    (0.5223443822322458, 2.080861557532131, 0.27271297848028153),
+    (0.7524249745809308, 2.388142884955095, 0.5660288280582124),
+    (0.2694881998018603, 0.5386327607368713, 0.07251938167707848),
+    (0.6043731563136747, 0.6185207243946159, 0.36504875825284167),
+    (0.8112481507079579, 0.7107794885375823, 0.6579571637397785),
+    (0.10583908787972365, 1.0629635482343753, 0.011171526988727374),
+    (0.5515504243400082, 1.2212354650523416, 0.30386353915558184),
+    (0.7720006111695569, 1.3945550803259021, 0.5957021438178313),
+    (0.6285901330611597, 0.36385737781768723, 0.3945719121630682),
+    (0.8293849062287506, 0.41567063207244836, 0.6874747003696208),
+    (0.9900499546819755, 0.4732631154572327, 0.979960040339441),
+    (0.5224006818587091, 2.0795463404329175, 0.2727714519255058),
+    (0.7522662754908261, 2.378585642264617, 0.5657903148343122),
+    (0.2704363806731023, 0.5387022746613301, 0.07302911584008692),
+    (0.6052370932465858, 0.6177527007455901, 0.3660931438607937),
+    (0.8104626460629878, 0.7106980772962778, 0.6566846209317976),
+    (0.1011648965404931, 1.0704415609697824, 0.010206547521055357),
+    (0.5505409453353688, 1.218188187803498, 0.30275198249727786),
+    (0.771853453742577, 1.4011489940234796, 0.5954777250705491),
+    (0.6284053693704613, 0.36222215443176614, 0.3943373510780062),
+    (0.8285781435871697, 0.41329101414094016, 0.6861364806746938),
+    (0.9899117731057981, 0.47569122283998266, 0.9796867488262111),
+    (0.5223221593919003, 2.0800468863325383, 0.27268810702404894),
+    (0.7524656871125498, 2.3755687366188867, 0.566091386343579),
+    (0.27174275923988667, 0.5423745228395376, 0.07373732179443108),
+    (0.6043154552018707, 0.6189187930807529, 0.3649775032149999),
+    (0.8113680904194714, 0.7097868137540819, 0.6581537892322257),
+]
+
+
+def _mp_sum(p):
+    """S(eta, c; x) at 40 digits by the closed form, at the exact values of
+    the floats."""
+    with mp.workdps(40):
+        eta, x = mp.mpf(p.eta), mp.mpf(p.x)
+        X = (x + eta) / (1 + eta)
+        return mp.hyp2f1(mp.mpf(1) / 2, 1, mp.mpf(p.c), x / X ** 2) / X
+
+
+class TestCappedBoundary:
+    """The x > 0 boundary triples of CAPPED_BOUNDARY: the closed route's
+    series with s from (eta, x), and the direct route's fitted tail."""
+
+    def test_closed_within_its_estimate(self):
+        for t in CAPPED_BOUNDARY + [(0.98958, 0.47498, 0.97902)]:
+            p = SumParams(*t)
+            r = sum_closed(p)
+            assert r.method is Method.Series
+            assert abs(r.value - _mp_sum(p)) <= r.abs_error_estimate <= 1e-11 * r.value, t
+
+    def test_direct_tail_within_its_estimate(self):
+        for t in CAPPED_BOUNDARY:
+            p = SumParams(*t)
+            r = sum_direct(p)
+            assert r.terms_used == 100_001
+            assert abs(r.value - _mp_sum(p)) <= r.abs_error_estimate <= 1e-9 * r.value, t
+
+    @pytest.mark.parametrize("cap", [_TAIL_FROM, 14_000, 20_000])
+    def test_direct_tail_at_small_caps(self, cap):
+        # Next to the tail's index floor. At the first triple and cap
+        # 10,000 the tail is 9% of the sum; without the fitted d it is
+        # off by 2.5e-6 of the sum, with it by 9.5e-10, which is still
+        # 40 times the rounding and drift floor.
+        for t in ((0.501, 2.0, 0.25), CAPPED_BOUNDARY[0], CAPPED_BOUNDARY[5]):
+            p = SumParams(*t)
+            r = sum_direct(p, max_terms=cap)
+            assert r.terms_used == cap + 1
+            assert abs(r.value - _mp_sum(p)) <= r.abs_error_estimate <= 1e-5 * r.value, (p, cap)
+
+    def test_below_the_index_floor_raises(self):
+        p = SumParams(*CAPPED_BOUNDARY[2])
+        with pytest.raises(SlowConvergence):
+            sum_direct(p, max_terms=_TAIL_FROM - 1)
+        assert sum_direct(p, max_terms=_TAIL_FROM).terms_used == _TAIL_FROM + 1
+
+    def test_negative_x_at_the_cap_raises(self):
+        # G_k oscillates at x < 0; no profile tail there.
+        with pytest.raises(SlowConvergence):
+            sum_direct(SumParams(0.2804719385591032, 2.2396543930497654, -0.6395118514335272))
 
 
 class TestSumClosed:
