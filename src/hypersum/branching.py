@@ -366,7 +366,9 @@ def _dual_root(v, lv, alpha):
             lo = t
         step = gt / (r / t + 1.0 / (t - 1.0))
         tn = t - step
-        if not lo < tn < hi:
+        # A step that rounds to t itself ends the search: t may sit on the
+        # bracket's edge, and bisecting from there starts over.
+        if tn != t and not lo < tn < hi:
             tn = 0.5 * (lo + hi)
         if tn == t:
             return t

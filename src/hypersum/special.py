@@ -137,12 +137,6 @@ def gamma_sign(x):
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
-# _series_sum runs its plain loop for this many terms; a series still
-# running after that goes on in numpy blocks of _SERIES_FIRST_BLOCK columns,
-# doubling up to _SERIES_MAX_BLOCK.
-_LOOP_TERMS = 1024
-_SERIES_FIRST_BLOCK = 256
-_SERIES_MAX_BLOCK = 2048
 # Rounding floor of a series estimate, per unit of sum |t|.
 _ROUNDING = 4.0 * 2.220446049250313e-16
 
@@ -160,9 +154,7 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     relative error d in x moves it by n d, so what grows linearly in n
     outweighs the floor in a long series whose x carries rounding.
 
-    The first _LOOP_TERMS terms run in a plain loop; a longer series goes on
-    from the loop's state in numpy blocks (_series_blocks), whose result is
-    the loop's bit for bit.
+    One plain loop over every term, up to max_terms.
     """
     off = 0.0          # log of the scale factored out of acc, term and mass
     acc = 1.0
@@ -172,8 +164,7 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     ratio = 0.0
     small = 0
     n = 0
-    stop = min(max_terms, _LOOP_TERMS)
-    while n < stop:
+    while n < max_terms:
         ratio = (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
         term *= ratio
         acc += term
@@ -196,9 +187,6 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
             mass *= sc
             mom *= sc
             off += e * _LN2
-    if small < 2 and n < max_terms:
-        term, acc, mass, mom, ratio, small, n, off = _series_blocks(
-            a, b, c, x, tol, max_terms, term, acc, mass, mom, small, n, off)
     converged = small >= 2
     # Geometric tail from the last ratio; the true ratio tends to |x|, so
     # never assume faster decay than that.
@@ -215,77 +203,6 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     except OverflowError:
         tail = math.inf
     return value, tail, n + 1, converged
-
-
-def _first(flags):
-    """Index of the first True in a boolean array, or None."""
-    if not flags.size:
-        return None
-    i = int(flags.argmax())
-    return i if flags[i] else None
-
-
-def _series_blocks(a, b, c, x, tol, max_terms, term, acc, mass, mom, small, n, off):
-    """_series_sum's loop from its state at term n, in numpy blocks.
-
-    A block's ratios come from one array expression, its terms from one
-    multiply.accumulate seeded by the carried term, its partial sums and
-    sum|t| from add.accumulate seeded by the carried acc and mass. All run
-    in order, so each entry is the loop's value bit for bit (sum n|t_n|,
-    a plain sum per block, is the loop's only to rounding). A block ends
-    early where the loop would stop (two small terms in a row, counting a
-    small term carried in) or, failing that, at the first column whose
-    |term| or |acc| passes _HUGE, which is rescaled as the loop rescales
-    it. Returns the loop's state
-    (term, acc, mass, mom, ratio, small, n, off).
-    """
-    size = _SERIES_FIRST_BLOCK
-    # Columns past a cut may overflow; they are never read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            w = min(size, max_terms - n)
-            ns = np.arange(n, n + w, dtype=float)
-            r = (a + ns) * (b + ns) * x / ((c + ns) * (ns + 1.0))
-            t = np.multiply.accumulate(np.concatenate(([term], r)))
-            s = t.copy()
-            s[0] = acc
-            np.add.accumulate(s, out=s)
-            at = np.abs(t)
-            aa = np.abs(s)
-            ok = at[1:] <= tol * aa[1:]
-            # The loop stops at the second small term in a row, and
-            # rescales where |term| or |acc| passes _HUGE if it goes on.
-            if small and ok[0]:
-                end = 0
-            else:
-                end = _first(ok[1:] & ok[:-1])
-                end = None if end is None else end + 1
-            big = _first((at[1:] > _HUGE) | (aa[1:] > _HUGE))
-            rescale = big is not None and (end is None or big < end)
-            j = big if rescale else w - 1 if end is None else end
-            ns += 1.0
-            ns[:j + 1] *= at[1:j + 2]
-            mom += float(ns[:j + 1].sum())
-            at[0] = mass
-            mass = float(np.add.accumulate(at[:j + 2])[-1])
-            term = float(t[j + 1])
-            acc = float(s[j + 1])
-            ratio = float(r[j])
-            n += j + 1
-            if j == end:
-                return term, acc, mass, mom, ratio, 2, n, off
-            small = 1 if ok[j] else 0
-            if rescale:
-                e = math.frexp(max(abs(term), abs(acc)))[1]
-                sc = math.ldexp(1.0, -e)
-                term *= sc
-                acc *= sc
-                mass *= sc
-                mom *= sc
-                off += e * _LN2
-            if n >= max_terms:
-                return term, acc, mass, mom, ratio, small, n, off
-            size = min(2 * size, _SERIES_MAX_BLOCK)
 
 
 def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
@@ -306,7 +223,9 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
     -------
     EvalResult
         Partial sum with an error estimate: the geometric tail from the last
-        term ratio plus a rounding floor 4 eps sum|t|. A sum past the
+        term ratio plus a rounding floor 4 eps sum|t|. The terms are summed
+        one at a time in _series_sum's loop. A series that does not meet
+        tol within max_terms raises ``NonConvergent``, and a sum past the
         largest double raises ``OverflowError``.
     """
     if not abs(p.x) < 1.0:

@@ -29,7 +29,6 @@ from .special import (
     DEFAULT_TOL,
     EvalResult,
     Method,
-    _first,
     _ladder,
     default_max_terms,
     gauss_point,
@@ -240,6 +239,14 @@ def _ladder_sum(c, x, lw, shift, tol, n, mark=None):
             del vals, e
         if k == n:
             return s, sum_abs, t, k, False, mom, t_mark
+
+
+def _first(flags):
+    """Index of the first True in a boolean array, or None."""
+    if not flags.size:
+        return None
+    i = int(flags.argmax())
+    return i if flags[i] else None
 
 
 def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
@@ -598,8 +605,8 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise DomainError("require 0 < z < 1")
     if not 0.0 < x < (1.0 - z) ** 2:
         raise DomainError("require 0 < x < (1-z)^2")
-    if not c > 0:
-        raise DomainError("require c > 0")
+    if not 0 < c < math.inf:
+        raise DomainError("require finite c > 0")
     method = method.lower()
     if method == "closed":
         # s = sqrt(1 - chi) from (1-z)^2 - x = (1-z-sqrt(x))(1-z+sqrt(x)),

@@ -507,3 +507,10 @@ class TestHAlphaPgf:
         # y = Q H(z) must satisfy y = z pgf(y) for the original offspring law.
         for alpha, lam, z in ((0.25, 0.7, 0.3), (0.6, 0.4, 0.9), (0.5, 0.6, 0.5)):
             assert functional_equation_residual(ScaledSibuya(alpha, lam), z) < 1e-12
+
+    def test_newton_step_that_rounds_to_itself(self):
+        # Newton lands on the bracket's lower edge, where its next step
+        # rounds to t itself; bisecting (1, 1 + v] from there, v = 3.1e97,
+        # ran out of iterations.
+        d = ScaledSibuya(0.99886, 0.763)
+        assert functional_equation_residual(d, 0.9999972) < 1e-12

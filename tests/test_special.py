@@ -10,7 +10,6 @@ import random
 import sys
 from decimal import Decimal as Dec
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,8 +19,6 @@ from hypersum.special import (
     _CHUNKED_FROM,
     _LADDER_MAX_BLOCK,
     _LOOP_COEFFS,
-    _LOOP_TERMS,
-    _SERIES_FIRST_BLOCK,
     DEFAULT_TOL,
     EvalResult,
     HypParams,
@@ -127,33 +124,30 @@ def _same_outcome(args):
 
 
 class TestSeriesBlocks:
-    """A series longer than _LOOP_TERMS goes on in numpy blocks; every
-    result must be the plain loop's bit for bit."""
+    """Long series against the scalar reference, bit for bit: the stop
+    rule, the term cap, the rescale and overflow. The class and case names
+    recall the numpy blocks of 256 columns and more that once took over a
+    series past 1,024 terms; the cases keep their inputs."""
 
-    @pytest.mark.parametrize("past", [-1, 0, 1, 2, _SERIES_FIRST_BLOCK + 1])
+    @pytest.mark.parametrize("past", [-1, 0, 1, 2, 256 + 1])
     def test_stop_around_the_switch(self, past):
-        # past = 1 stops on the first block column through the small term
-        # carried in from the loop; the last case does the same on the
-        # first column of the second block.
-        n = _LOOP_TERMS + past
+        n = 1024 + past
         args = (0.5, 1.0, 2.5, 0.97, _tol_stopping_at(n), 10 ** 6)
         got = _same_outcome(args)
         assert got[2] == n + 1 and got[3]
 
-    @pytest.mark.parametrize("cap", [_LOOP_TERMS - 1, _LOOP_TERMS, _LOOP_TERMS + 1,
-                                     _LOOP_TERMS + 100, _LOOP_TERMS + _SERIES_FIRST_BLOCK + 700])
+    @pytest.mark.parametrize("cap", [1024 - 1, 1024, 1024 + 1, 1024 + 100, 1024 + 256 + 700])
     def test_term_cap_inside_a_block(self, cap):
         got = _same_outcome((0.5, 1.0, 0.6, 0.99999, 1e-14, cap))
         assert got[2] == cap + 1 and not got[3]
 
     def test_rescale_after_the_switch(self):
-        # The terms first pass 1e250 at n = 36,645, long after the switch,
-        # and peak near 1e262.
+        # The terms first pass 1e250 at n = 36,645 and peak near 1e262.
         got = _same_outcome((40.0, 40.0, 0.5, 0.999, 1e-14, 2_000_000))
         assert got[0] > 1e260 and got[2] > 100_000 and got[3]
 
     def test_overflow_and_cap_cases(self):
-        # The partial sums pass 1e308: rescaled in blocks, then OverflowError.
+        # The partial sums pass 1e308: rescaled, then OverflowError.
         _same_outcome((300.0, 300.0, 1.0, 0.99, DEFAULT_TOL, 100_000))
         _same_outcome((50.0, 60.0, 0.5, 0.999, DEFAULT_TOL, 100_000))
         # Runs to its cap unconverged (hyp2f1_series raises NonConvergent).
@@ -301,14 +295,6 @@ class TestHalfOneDispatch:
             assert abs(r.value - ref) <= r.abs_error_estimate, (c, chi)
 
 
-def _mp_half_one(c, chi):
-    """2F1(1/2, 1; c; chi) at 40 digits, at the exact values of the floats:
-    next to chi = 1 the decimal repr of chi moves 1 - chi by 3e-11
-    relative at chi = 1 - 1e-6."""
-    with mp.workdps(40):
-        return mp.hyp2f1(mp.mpf(1) / 2, 1, mp.mpf(c), mp.mpf(chi))
-
-
 class TestQuadraticSeries:
     """hyp2f1_half_one's one series, 2/(1+s) 2F1(1, 2-c; c; w), judged by
     mpmath."""
@@ -323,7 +309,7 @@ class TestQuadraticSeries:
             chi = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(1e6 + 1.0))
             r = hyp2f1_half_one(c, chi, max_terms=10**6)
             assert r.method is Method.Series
-            ref = _mp_half_one(c, chi)
+            ref = mp_hyp2f1(0.5, 1.0, c, chi, dps=40)
             assert abs(r.value - ref) <= r.abs_error_estimate, (c, chi)
             # The rounding floor 4 eps sum|t| is loose where w nears -1 and
             # the terms alternate: up to 7e-6 relative at chi = -5e5.
@@ -335,7 +321,7 @@ class TestQuadraticSeries:
         # the Euler transform at the 1e5-term cap at chi = -1e6.
         r = hyp2f1_half_one(c, chi)
         assert r.terms_used < terms
-        ref = _mp_half_one(c, chi)
+        ref = mp_hyp2f1(0.5, 1.0, c, chi, dps=40)
         assert abs(r.value - ref) <= r.abs_error_estimate
         assert abs(r.value - ref) <= 1e-11 * abs(ref)
 
@@ -343,7 +329,7 @@ class TestQuadraticSeries:
         # 2F1(1, 2-c; c; w) is a polynomial of degree c - 2 for integer c.
         r = hyp2f1_half_one(7.0, -30.0)
         assert r.terms_used <= 8
-        assert r.value == pytest.approx(float(_mp_half_one(7.0, -30.0)), rel=1e-14)
+        assert r.value == pytest.approx(float(mp_hyp2f1(0.5, 1.0, 7.0, -30.0, dps=40)), rel=1e-14)
 
     def test_drift_term_is_opt_in(self):
         # The plain series keeps its estimate; the drift only adds.

@@ -504,6 +504,9 @@ class TestLetacSum:
             letac_sum(0.3, 2.0, 0.49)  # needs x < (1-z)^2
         with pytest.raises(DomainError):
             letac_sum(0.3, -1.0, 0.1)
+        for method in ("closed", "direct"):
+            with pytest.raises(DomainError):
+                letac_sum(0.3, math.inf, 0.2, method=method)
         with pytest.raises(ValueError):
             letac_sum(0.3, 2.0, 0.1, method="auto")
 
