@@ -17,6 +17,7 @@ import numpy as np
 
 from .branching import ProgenyHalfLaw, extinction_prob, progeny_pmf_range
 from .errors import DomainError, InsufficientData
+from .special import _whole
 
 __all__ = [
     "SimConfig",
@@ -43,12 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
-        if self.replicates < 1:
-            raise DomainError("replicates must be positive")
-        if self.progeny_cap < 1:
-            raise DomainError("progeny_cap must be positive")
-        if self.workers < 1:
-            raise DomainError("workers must be positive")
+        for name, lo in (("seed", 0), ("replicates", 1), ("progeny_cap", 1), ("workers", 1)):
+            object.__setattr__(self, name, _whole(getattr(self, name), lo, name))
 
 
 class DualOffspringSampler:
@@ -213,7 +210,11 @@ class GofReport:
 
 def chi_square_threshold(dof, quantile=0.999):
     """The chi-square ``quantile`` at ``dof`` degrees of freedom: twice the
-    inverse of the regularised lower incomplete gamma function at dof/2."""
+    inverse of the regularised lower incomplete gamma function at dof/2.
+    Requires a whole dof >= 1 and 0 < quantile < 1."""
+    dof = _whole(dof, 1, "dof")
+    if not 0.0 < quantile < 1.0:
+        raise DomainError("quantile must be in (0, 1)")
     from scipy.special import gammaincinv
 
     return float(2.0 * gammaincinv(dof / 2.0, quantile))

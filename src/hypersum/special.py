@@ -42,7 +42,8 @@ _LN2 = math.log(2.0)
 
 
 def default_max_terms():
-    """Global term cap, overridable through HYPERSUM_MAX_TERMS.
+    """Global term cap, overridable through HYPERSUM_MAX_TERMS, which must
+    be a whole number >= 1 (DomainError otherwise).
 
     The k-ladder's seed series (_ladder_seeds) do not follow it: they have
     their own cap of _SEED_MAX_TERMS = 200,000 terms.
@@ -50,10 +51,19 @@ def default_max_terms():
     raw = os.environ.get("HYPERSUM_MAX_TERMS")
     if raw is None:
         return DEFAULT_MAX_TERMS
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("HYPERSUM_MAX_TERMS must be positive")
-    return cap
+    try:
+        cap = float(raw)
+    except ValueError:
+        cap = math.nan
+    return _whole(cap, 1, "HYPERSUM_MAX_TERMS")
+
+
+def _term_cap(max_terms):
+    """A caller's term cap: the global cap for None, else max_terms as an
+    int if it is a whole number >= 1 (DomainError otherwise)."""
+    if max_terms is None:
+        return default_max_terms()
+    return _whole(max_terms, 1, "max_terms")
 
 
 class Method(enum.Enum):
@@ -225,13 +235,13 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
         Partial sum with an error estimate: the geometric tail from the last
         term ratio plus a rounding floor 4 eps sum|t|. The terms are summed
         one at a time in _series_sum's loop. A series that does not meet
-        tol within max_terms raises ``NonConvergent``, and a sum past the
-        largest double raises ``OverflowError``.
+        tol within max_terms raises ``NonConvergent``, a sum past the
+        largest double raises ``OverflowError``, and a max_terms that is
+        not a whole number >= 1 raises ``DomainError``.
     """
     if not abs(p.x) < 1.0:
         raise DomainError("series requires |x| < 1, got x=%g" % p.x)
-    if max_terms is None:
-        max_terms = default_max_terms()
+    max_terms = _term_cap(max_terms)
     value, tail, used, ok = _series_sum(p.a, p.b, p.c, p.x, tol, max_terms)
     if not ok:
         raise NonConvergent(
@@ -276,8 +286,9 @@ def _half_one_closed(c, s):
 def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
     """Evaluate 2F1(1/2, 1; c; chi) for chi <= 1.
 
-    Routes: the unit-argument Gauss point for chi=1 (c > 3/2 only),
-    elementary closed forms for c in {1,2,3,4}, and otherwise one series,
+    Routes: the unit-argument Gauss point for chi=1 (c > 3/2 only), where
+    Gauss's theorem reduces to (2c-2)/(2c-3), within 4 eps at every c;
+    elementary closed forms for c in {1,2,3,4}; and otherwise one series,
     the quadratic transformation of Abramowitz & Stegun 15.3.19,
 
         2F1(1/2, 1; c; chi) = 2/(1+s) 2F1(1, 2-c; c; w),
@@ -298,10 +309,12 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
     if chi == 1.0:
         if c <= 1.5:
             raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")
-        v = gauss_point(0.5, 1.0, c)
+        # Gauss's theorem in elementary form: gauss_point's exp of lgamma
+        # differences loses digits like c log c.
+        v = (2.0 * c - 2.0) / (2.0 * c - 3.0)
         return EvalResult(
             value=v,
-            abs_error_estimate=8.0 * abs(v) * 2.2e-16,
+            abs_error_estimate=4.0 * v * 2.2e-16,
             terms_used=0,
             method=Method.GaussPoint,
         )
@@ -314,8 +327,7 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
             terms_used=0,
             method=Method.ClosedForm,
         )
-    if max_terms is None:
-        max_terms = default_max_terms()
+    max_terms = _term_cap(max_terms)
     # Two divisions: (1+s)^2 overflows for chi below about -1.7e308.
     w = chi / (1.0 + s) / (1.0 + s)
     value, tail, used, ok = _series_sum(1.0, 2.0 - c, c, w, tol, max_terms, drift=True)
@@ -504,7 +516,6 @@ _LOOP_STEPS = 992
 _CHUNKED_FROM = 1024
 _LADDER_MAX_BLOCK = 16384
 _LOOP_COEFFS = 256
-_LOOP_PIECE = 1024
 
 
 def _rescale(f, f1):
@@ -530,68 +541,50 @@ def _looped_block(k0, w, c, x, chains, width):
     [_TINY, _HUGE], a power of two moves from the chain's values into its
     exponent and the list ends before it. Nothing is computed before the
     first list is asked for, and ``chains`` is updated once the block has
-    run through. The coefficients become Python floats _LOOP_PIECE at a
-    time (``width`` divides _LOOP_PIECE, or w is at most _LOOP_PIECE).
+    run through.
     """
     A, B = _step_coeffs(np.arange(k0 - 1, k0 - 1 + w) / 2.0, c, x)
+    A = A.tolist()
+    B = B.tolist()
     (p1, p2, ep, _), (q1, q2, eq, _) = chains
     lo, hi = _TINY, _HUGE
-    for piece in range(0, w, _LOOP_PIECE):
-        Ap = A[piece:piece + _LOOP_PIECE].tolist()
-        Bp = B[piece:piece + _LOOP_PIECE].tolist()
-        for i in range(0, len(Ap), width):
-            out = []
-            put = out.append
-            j = i + width
-            for a0, b0, a1, b1 in zip(Ap[i:j:2], Bp[i:j:2], Ap[i + 1:j:2], Bp[i + 1:j:2]):
-                f = a0 * p1 + b0 * p2
-                g = a1 * q1 + b1 * q2
-                if not (lo < abs(f) < hi and lo < abs(g) < hi):
-                    f, p1, s = _rescale(f, p1)
-                    g, q1, t = _rescale(g, q1)
-                    if s or t:
-                        if out:
-                            yield out, (ep, eq)
-                            out = []
-                            put = out.append
-                        ep += s
-                        eq += t
-                p2 = p1
-                p1 = f
-                q2 = q1
-                q1 = g
-                put(f)
-                put(g)
-            yield out, (ep, eq)
+    for i in range(0, w, width):
+        out = []
+        put = out.append
+        j = i + width
+        for a0, b0, a1, b1 in zip(A[i:j:2], B[i:j:2], A[i + 1:j:2], B[i + 1:j:2]):
+            f = a0 * p1 + b0 * p2
+            g = a1 * q1 + b1 * q2
+            if not (lo < abs(f) < hi and lo < abs(g) < hi):
+                f, p1, s = _rescale(f, p1)
+                g, q1, t = _rescale(g, q1)
+                if s or t:
+                    if out:
+                        yield out, (ep, eq)
+                        out = []
+                        put = out.append
+                    ep += s
+                    eq += t
+            p2 = p1
+            p1 = f
+            q2 = q1
+            q1 = g
+            put(f)
+            put(g)
+        yield out, (ep, eq)
     chains[0] = [p1, p2, ep, None]
     chains[1] = [q1, q2, eq, None]
 
 
 def _frexp_lists(lists):
     """(frac, exp) arrays of the (vals, (ep, eq)) lists of _looped_block,
-    in order, with G = frac * 2**exp. The values go into numpy once
-    _LOOP_PIECE of them have come, so few Python floats live at once."""
-    parts = []
+    in order, with G = frac * 2**exp."""
     vals = []
     shifts = []
     for v, e in lists:
         if e != (0, 0):
             shifts.append((len(vals), len(v), e))
         vals += v
-        if len(vals) >= _LOOP_PIECE:
-            parts.append(_frexp_part(vals, shifts))
-            vals = []
-            shifts = []
-    if vals or not parts:
-        parts.append(_frexp_part(vals, shifts))
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate([f for f, _ in parts]), np.concatenate([e for _, e in parts])
-
-
-def _frexp_part(vals, shifts):
-    """_frexp_lists' arrays of one run of lists: ``vals`` their values and
-    ``shifts`` (start, length, (ep, eq)) of each list with exponents."""
     frac, exp = np.frexp(np.array(vals))
     for j, w, (ep, eq) in shifts:
         exp[j:j + w:2] += ep
@@ -743,13 +736,17 @@ def _ladder(c, x, n=None, width=None):
     rest, and steps them in a Python loop (_looped_block) that runs only as
     far as the lists are read. After it, blocks of _CHUNKED_FROM steps
     doubling up to _LADDER_MAX_BLOCK (so that a long ladder pays numpy's
-    per-call cost rarely) go by chunk transfers (_chunked_block), falling
-    back to the loop (in lists of _LOOP_PIECE values) where those leave
-    [_TINY, _HUGE], as for x near 1, where one step can grow a value by
-    1e30. The part that reaches n is cut short, to whole chunks or steps.
-    Cutting changes none of the values kept, so G_k depends neither on n
-    nor on ``width``, unless the cut decides whether a block's transfers
-    stay in range.
+    per-call cost rarely) go by chunk transfers (_chunked_block). Where
+    those leave [_TINY, _HUGE], as for x near 1, the block runs again with
+    chunks half as long until they fit. Over L steps a transfer grows like
+    (1-sqrt(x))^(-2L), so it stays in range for L below about
+    288/|ln(1-sqrt(x))| (63 steps at x = 0.9797, 38 at x = 0.999); at L = 2
+    it is a product of two step coefficients of size about (1-x)^-2, under
+    1e64 for every double x < 1, so the halving ends (OverflowError
+    otherwise). The part that reaches n is cut short, to whole chunks or
+    steps. Cutting changes none of the values kept, so G_k depends neither
+    on n nor on ``width``, unless the cut decides how long a block's chunks
+    are.
     Each chain is a float times 2^e with e an integer: a power of two
     moves from the value into e whenever the loop's newest value leaves
     [_TINY, _HUGE], and at each chunk start, so no k can overflow and the
@@ -783,10 +780,10 @@ def _ladder(c, x, n=None, width=None):
     while n is None or k0 < n:
         w = size if n is None else min(size, n - k0)
         L = _chunk_width(size)
-        block = _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)
-        if block is None:
-            w += w % 2
-            block = _frexp_lists(_looped_block(k0, w, c, x, chains, _LOOP_PIECE))
+        while (block := _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)) is None:
+            if L == 2:
+                raise OverflowError("ladder transfers past double range at k=%d" % k0)
+            L //= 2
         yield block
         k0 += len(block[0])
         size = min(2 * size, _LADDER_MAX_BLOCK)

@@ -30,8 +30,7 @@ from .special import (
     EvalResult,
     Method,
     _ladder,
-    default_max_terms,
-    gauss_point,
+    _term_cap,
     hyp2f1_half_one,
     log_abs_gamma,
 )
@@ -382,22 +381,25 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     k^(1/2-c); the sum then runs to ``max_terms`` and an integral-comparison
     tail bound takes the geometric tail's place instead of raising.
 
+    At x = 1 only the k = 0 term has weight: 2F1(1/2, 1; c; 1), which
+    Gauss's theorem reduces to (2c-2)/(2c-3), within 4 eps at every c > 3/2.
+
     ``override_divergence`` admits divergent parameters and returns the raw
     partial sum (for divergence demonstrations); its error estimate is the
     last term magnitude, a local figure only. Not available at x = 1, where
-    individual terms are not finite.
+    individual terms are not finite. A ``max_terms`` that is not a whole
+    number >= 1 raises ``DomainError``.
     """
     verdict = convergence_check(p)
     if not verdict.convergent and not override_divergence:
         raise NotConvergent("S(%g, %g; %g) diverges: %s" % (p.eta, p.c, p.x, verdict.reason.value))
-    if max_terms is None:
-        max_terms = default_max_terms()
+    max_terms = _term_cap(max_terms)
     if p.x == 1.0:
         if p.c <= 1.5:
             raise NotConvergent("S(eta, c; 1) has no finite terms for c <= 3/2")
         # Only the k=0 term carries weight (1-x)^k != 0.
-        v = gauss_point(0.5, 1.0, p.c)
-        return EvalResult(value=v, abs_error_estimate=4.0 * abs(v) * 2.2e-16,
+        v = (2.0 * p.c - 2.0) / (2.0 * p.c - 3.0)
+        return EvalResult(value=v, abs_error_estimate=4.0 * v * 2.2e-16,
                           terms_used=1, method=Method.GaussPoint)
     l1x = math.log1p(-p.x)
     l1e = math.log1p(p.eta)
@@ -500,7 +502,10 @@ def sum_closed(p):
     the value 1.7e-10 (relative) off 40-digit mpmath, against 4.2e-12 from
     (eta, x). Three special regimes:
 
-    * x = -eta (X = 0): the finite limit Gamma(c)/Gamma(c-1/2) sqrt(pi/eta).
+    * x = -eta (X = 0): the finite limit Gamma(c)/Gamma(c-1/2) sqrt(pi/eta),
+      formed as exp of a lgamma difference. Each lgamma's absolute rounding
+      becomes relative error, so the estimate is
+      eps (8 + 2(|lgamma(c)| + |lgamma(c-1/2)|)) of the value.
     * x < -eta (X < 0, only reachable for eta < 1): the naive 1/X route
       picks the wrong square-root branch, so the elementary c in {1,2,3}
       continuations are returned with ``continuation=True``; other c raise.
@@ -516,8 +521,10 @@ def sum_closed(p):
     if x == -eta or abs(x + eta) <= 4e-16 * (abs(x) + eta):
         if c <= 0.5:
             raise DomainError("x = -eta limit needs c > 1/2")
-        v = _finite(math.exp(log_abs_gamma(c) - log_abs_gamma(c - 0.5)) * math.sqrt(math.pi / eta), p)
-        return EvalResult(value=v, abs_error_estimate=8.0 * v * 2.2e-16,
+        lc, lh = log_abs_gamma(c), log_abs_gamma(c - 0.5)
+        v = _finite(math.exp(lc - lh) * math.sqrt(math.pi / eta), p)
+        est = v * 2.2e-16 * (8.0 + 2.0 * (abs(lc) + abs(lh)))
+        return EvalResult(value=v, abs_error_estimate=est,
                           terms_used=0, method=Method.ClosedForm)
     if arg.X < 0.0:
         if c in (1.0, 2.0, 3.0):
@@ -620,8 +627,7 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
                           terms_used=inner.terms_used, method=inner.method)
     if method != "direct":
         raise ValueError("method must be 'direct' or 'closed'")
-    if max_terms is None:
-        max_terms = default_max_terms()
+    max_terms = _term_cap(max_terms)
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
     s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms)

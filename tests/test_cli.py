@@ -131,6 +131,13 @@ class TestSumCommand:
         assert proc.returncode == 3
         assert json_lines(proc)[0]["status"] == "SlowConvergence"
 
+    def test_bad_term_cap_env_exits_2(self):
+        proc = run_cli("sum", "--eta", "2", "--c", "2.5", "--x", "0.5", "--method", "direct",
+                       env_extra={"HYPERSUM_MAX_TERMS": "abc"})
+        assert proc.returncode == 2
+        assert json_lines(proc)[0]["status"] == "DomainError"
+        assert "HYPERSUM_MAX_TERMS" in proc.stderr
+
 
 class TestProgenyCommand:
     def test_pmf_rows(self):

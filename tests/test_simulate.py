@@ -54,6 +54,17 @@ class TestSimConfig:
             SimConfig(seed=1, replicates=10, progeny_cap=0)
         with pytest.raises(DomainError):
             SimConfig(seed=1, replicates=10, workers=0)
+        # A nan cap censored every replicate, seed 1.5 ran seed 1's stream,
+        # and fractional counts raised a bare TypeError.
+        for bad in ({"progeny_cap": math.nan}, {"seed": 1.5}, {"replicates": 2.5},
+                    {"workers": 2.5}, {"seed": math.nan}, {"progeny_cap": math.inf}):
+            with pytest.raises(DomainError):
+                SimConfig(**{"seed": 1, "replicates": 1000, **bad})
+        assert SimConfig(seed=1.0, replicates=10.0).replicates == 10
+        for dof, quantile in ((0, 0.999), (2.5, 0.999), (math.nan, 0.999),
+                              (20, 0.0), (20, 1.0), (20, math.nan)):
+            with pytest.raises(DomainError):
+                chi_square_threshold(dof, quantile)
 
 
 class TestSampler:

@@ -30,9 +30,11 @@ from hypersum.special import (
     hyp2f1_large_k,
     hyp2f1_series,
     _chunked_block,
+    _frexp_lists,
     _ladder,
     _ladder_seeds,
     _ladder_upto,
+    _looped_block,
     _series_sum,
 )
 
@@ -451,12 +453,14 @@ class TestChunkedLadder:
     @pytest.mark.parametrize("c,x,kmax,loop_err", [
         (2.5, 0.49, 20_000, 6.637e-13), (1.2, 0.01, 20_000, 2.033e-12),
         (2.0, -0.8, 20_000, 1.257e-14), (2.0, 0.64, 20_000, 3.794e-13),
-        (3.3, -0.3, 20_000, 3.588e-13), (0.667, 2.18e-5, 40_000, 1.488e-10)])
+        (3.3, -0.3, 20_000, 3.588e-13), (0.667, 2.18e-5, 40_000, 1.488e-10),
+        (0.47569, 0.979687, 20_000, 8.210e-13), (2.0, 0.9996, 20_000, 6.949e-13)])
     def test_accuracy_against_reference(self, c, x, kmax, loop_err):
         frac, exp = _values(c, x, kmax + 1)
         assert _error(c, x, frac, exp, dec_ladder(c, x, kmax)) <= 1.1 * loop_err
 
-    @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.5), (0.7, 0.05), (3.3, -0.1)])
+    @pytest.mark.parametrize("c,x", [(2.5, 0.3), (1.2, -0.5), (0.7, 0.05), (3.3, -0.1),
+                                     (0.47569, 0.979687), (0.7, 0.999), (2.0, 0.9996)])
     @pytest.mark.parametrize("switch", [32, _CHUNKED_FROM])
     def test_chunked_blocks_match_loop_blocks(self, monkeypatch, c, x, switch):
         # Chunked from the first block, in blocks of 32 steps doubling (or
@@ -489,14 +493,22 @@ class TestChunkedLadder:
         frac, exp = _values(c, 0.0, 32_300)
         assert np.abs(frac * np.exp2(exp) - 1.0).max() <= 1e-10
 
-    def test_transfers_out_of_range_fall_back_to_the_loop(self):
-        # At x = 1 - 1e-12 one step grows a value by about 1e25: the
-        # transfers leave [1e-250, 1e250] and the block is left to the loop.
-        chains = [[0.75, 0.5, 3, None], [0.625, 0.5, 3, None]]
+    def test_transfers_out_of_range_return_none_and_leave_chains(self):
+        # At x = 1 - 1e-12 one step grows a value by about 1e25: chunks of
+        # 16 leave [1e-250, 1e250], so the block returns None and leaves
+        # the chains as they were. Chunks of 8 stay in range and give the
+        # values of stepping one at a time, within n eps after n steps.
+        start = [[0.75, 0.5, 3, None], [0.625, 0.5, 3, None]]
+        chains = [list(ch) for ch in start]
         assert _chunked_block(101, 16, _CHUNKED_FROM // 16, 2.0, 1.0 - 1e-12, chains) is None
-        assert chains == [[0.75, 0.5, 3, None], [0.625, 0.5, 3, None]]
+        assert chains == start
+        frac, exp = _chunked_block(101, 8, _CHUNKED_FROM // 8, 2.0, 1.0 - 1e-12, chains)
+        steps = [list(ch) for ch in start]
+        lfrac, lexp = _frexp_lists(_looped_block(101, _CHUNKED_FROM, 2.0, 1.0 - 1e-12, steps, 32))
+        n = _CHUNKED_FROM
+        assert np.all(np.abs(frac * np.exp2(exp - lexp) - lfrac) <= n * 2.2e-16 * np.abs(lfrac))
 
-    @pytest.mark.parametrize("c,x", [(0.667, 2.18e-5), (2.5, 0.3), (1.2, -0.5)])
+    @pytest.mark.parametrize("c,x", [(0.667, 2.18e-5), (2.5, 0.3), (1.2, -0.5), (0.47569, 0.979687)])
     def test_prefixes_around_switch_and_cap(self, c, x):
         edges = ladder_block_edges(c, 3 * _LADDER_MAX_BLOCK)
         switch = next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM)
@@ -610,3 +622,11 @@ class TestTermCapEnv:
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("HYPERSUM_MAX_TERMS", raising=False)
         assert default_max_terms() == 100_000
+
+    @pytest.mark.parametrize("raw", ["0", "-5", "abc", "2.5", "nan", "inf", ""])
+    def test_bad_env_values_are_domain_errors(self, monkeypatch, raw):
+        monkeypatch.setenv("HYPERSUM_MAX_TERMS", raw)
+        with pytest.raises(DomainError):
+            default_max_terms()
+        with pytest.raises(DomainError):
+            hyp2f1_series(HypParams(0.5, 1.0, 2.0, 0.5))

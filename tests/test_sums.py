@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 from hypersum.errors import DomainError, NotConvergent, SlowConvergence
-from hypersum.special import _CHUNKED_FROM, _LOOP_COEFFS, Method, _ladder_upto
+from hypersum.special import _CHUNKED_FROM, _LOOP_COEFFS, Method, _ladder_upto, hyp2f1_half_one
 from hypersum.sums import (
     ClosedFormArgument,
     Reason,
@@ -389,6 +389,25 @@ class TestSumClosed:
             sum_closed(SumParams(0.7, 1.2, 0.49))
         r = sum_closed(SumParams(0.7, 2.0, 0.49))
         assert r.value == pytest.approx(20.0 / 7.0, rel=1e-12)
+
+    def test_unit_and_minus_eta_estimates_hold_at_large_c(self):
+        # The Gauss point of hyp2f1_half_one and sum_direct at x = 1, and
+        # sum_closed's limit at x = -eta, against 40-digit mpmath for c
+        # log-uniform up to 1e6. An exp of lgamma differences of size
+        # c log c once put these values 1e2-1e4 estimates off.
+        rng = random.Random(3141)
+        with mp.workdps(40):
+            for _ in range(200):
+                c = 1.5 + 10.0 ** rng.uniform(-3.0, 6.0)
+                ref = mp.hyp2f1(0.5, 1, c, 1)
+                for r in (hyp2f1_half_one(c, 1.0), sum_direct(SumParams(1.0, c, 1.0))):
+                    assert r.method is Method.GaussPoint
+                    assert abs(r.value - ref) <= r.abs_error_estimate, c
+                c = 0.5 + 10.0 ** rng.uniform(-3.0, 6.0)
+                eta = rng.uniform(1e-3, 1.0)
+                r = sum_closed(SumParams(eta, c, -eta))
+                ref = mp.gamma(c) / mp.gamma(mp.mpf(c) - 0.5) * mp.sqrt(mp.pi / eta)
+                assert abs(r.value - ref) <= r.abs_error_estimate, (eta, c)
 
 
 class TestSumSpecial:

@@ -17,8 +17,8 @@ from hypersum.branching import (
     solve_dual_root,
 )
 from hypersum.errors import DomainError
-from hypersum.special import gauss_point, hyp2f1_half_one
-from hypersum.sums import SumParams
+from hypersum.special import HypParams, gauss_point, hyp2f1_half_one, hyp2f1_series
+from hypersum.sums import SumParams, letac_sum, sum_direct
 
 inf = math.inf
 
@@ -46,6 +46,21 @@ CASES = {
     "h_alpha_pgf(0.5, 0.3; 1e-200)": (lambda: _pgf_checks(0.5, 0.3, 1e-200), None),
     "h_alpha_pgf(0.9, 0.2; 1e-40)": (lambda: _pgf_checks(0.9, 0.2, 1e-40), None),
     "h_alpha_pgf(0.999, 0.9; 0.5)": (lambda: _pgf_checks(0.999, 0.9, 0.5), None),
+    # A bad term cap raised TypeError or reported "the -1-term cap".
+    "sum_direct(max_terms=-3)": (
+        lambda: sum_direct(SumParams(2.0, 2.5, 0.5), max_terms=-3), DomainError),
+    "sum_direct(max_terms=2.5)": (
+        lambda: sum_direct(SumParams(2.0, 2.5, 0.5), max_terms=2.5), DomainError),
+    "sum_direct(max_terms=nan)": (
+        lambda: sum_direct(SumParams(2.0, 2.5, 0.5), max_terms=math.nan), DomainError),
+    "letac_sum(direct, max_terms=-3)": (
+        lambda: letac_sum(0.3, 2.5, 0.25, method="direct", max_terms=-3), DomainError),
+    "letac_sum(direct, max_terms=2.5)": (
+        lambda: letac_sum(0.3, 2.5, 0.25, method="direct", max_terms=2.5), DomainError),
+    "hyp2f1_half_one(2.5, 0.5, max_terms=-1)": (
+        lambda: hyp2f1_half_one(2.5, 0.5, max_terms=-1), DomainError),
+    "hyp2f1_series(max_terms=nan)": (
+        lambda: hyp2f1_series(HypParams(0.5, 1.0, 2.5, 0.5), max_terms=math.nan), DomainError),
 }
 
 
