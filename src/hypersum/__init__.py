@@ -48,7 +48,6 @@ from .special import (
     EvalResult,
     HypParams,
     Method,
-    gauss_point,
     hyp2f1_half_one,
     hyp2f1_ladder,
     hyp2f1_large_k,

@@ -1,6 +1,5 @@
-"""Special-function kernel: Gauss hypergeometric evaluation, gamma-family
-helpers, the streaming k-ladder and large-parameter asymptotic
-approximants.
+"""Special-function kernel: Gauss hypergeometric evaluation, the
+streaming k-ladder and large-parameter asymptotic approximants.
 
 Everything here is a pure function of its arguments; no global mutable state.
 """
@@ -22,11 +21,8 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_TERMS",
     "default_max_terms",
-    "log_abs_gamma",
-    "gamma_sign",
     "hyp2f1_series",
     "hyp2f1_half_one",
-    "gauss_point",
     "hyp2f1_large_k",
     "hyp2f1_ladder",
 ]
@@ -132,37 +128,22 @@ def _whole(n, lo, name):
     return int(n)
 
 
-def log_abs_gamma(x):
-    """log|Gamma(x)|; raises DomainError at the poles."""
-    if x <= 0 and x == int(x):
-        raise DomainError("Gamma pole at nonpositive integer %g" % x)
-    return math.lgamma(x)
-
-
-def gamma_sign(x):
-    """Sign of Gamma(x) for non-pole real x."""
-    if x > 0:
-        return 1.0
-    # Gamma alternates sign between consecutive negative integers.
-    return -1.0 if math.floor(x) % 2 else 1.0
-
-
 # Rounding floor of a series estimate, per unit of sum |t|.
 _ROUNDING = 4.0 * 2.220446049250313e-16
 
 
-def _series_sum(a, b, c, x, tol, max_terms, drift=False):
+def _series_sum(a, b, c, x, tol, max_terms):
     """Scaled-accumulator core of the 2F1 partial sum.
 
     Returns (value, abs_error_estimate, terms_used, converged). Term
     magnitudes are tracked against a running power-of-two offset so that
     large half-integer parameters (terms up to ~1e280 before the tail
     decays) neither overflow nor lose the sign bookkeeping. The estimate is
-    the geometric tail from the last ratio plus a rounding floor of
-    4 eps sum|t| over the terms used. With ``drift`` it also adds
-    4 eps sum n|t_n|: term n is a product of n rounded ratios, and a
-    relative error d in x moves it by n d, so what grows linearly in n
-    outweighs the floor in a long series whose x carries rounding.
+    the geometric tail from the last ratio plus 4 eps (sum|t| + sum n|t_n|)
+    over the terms used: a rounding floor, and a drift term, since term n
+    is a product of n rounded ratios and a relative error d in x moves it
+    by n d, so in a long series what grows linearly in n outweighs the
+    floor.
 
     One plain loop over every term, up to max_terms.
     """
@@ -170,7 +151,7 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     acc = 1.0
     term = 1.0
     mass = 1.0         # sum |t|, for the rounding floor
-    mom = 0.0          # sum n|t_n|, for the drift
+    mom = 0.0          # sum n|t_n|, for the drift term
     ratio = 0.0
     small = 0
     n = 0
@@ -202,7 +183,7 @@ def _series_sum(a, b, c, x, tol, max_terms, drift=False):
     # never assume faster decay than that.
     r = min(abs(x), 0.999999)
     r = max(r, min(abs(ratio), 0.999999))
-    tail = abs(term) * r / (1.0 - r) + _ROUNDING * (mass + mom if drift else mass)
+    tail = abs(term) * r / (1.0 - r) + _ROUNDING * (mass + mom)
     if off == 0.0:
         return acc, tail, n + 1, converged
     sign = 1.0 if acc >= 0 else -1.0
@@ -233,7 +214,8 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
     -------
     EvalResult
         Partial sum with an error estimate: the geometric tail from the last
-        term ratio plus a rounding floor 4 eps sum|t|. The terms are summed
+        term ratio plus 4 eps (sum|t| + sum n|t_n|), a rounding floor and
+        the drift of long series whose x carries rounding. The terms are summed
         one at a time in _series_sum's loop. A series that does not meet
         tol within max_terms raises ``NonConvergent``, a sum past the
         largest double raises ``OverflowError``, and a max_terms that is
@@ -250,54 +232,23 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
     return EvalResult(value=value, abs_error_estimate=tail, terms_used=used, method=Method.Series)
 
 
-def gauss_point(a, b, c):
-    """2F1(a,b;c;1) by the Gauss summation theorem; requires c > a + b."""
-    if not (math.isfinite(a + b + c) and c > a + b):
-        raise DomainError("Gauss point needs finite a, b, c with c > a + b")
-    try:
-        lg = (log_abs_gamma(c) + log_abs_gamma(c - a - b)
-              - log_abs_gamma(c - a) - log_abs_gamma(c - b))
-    except DomainError:
-        # Pole of Gamma(c-a) or Gamma(c-b) in the denominator.
-        return 0.0
-    sign = gamma_sign(c) * gamma_sign(c - a - b) * gamma_sign(c - a) * gamma_sign(c - b)
-    try:
-        return sign * math.exp(lg)
-    except OverflowError:
-        return sign * math.inf
-
-
-def _half_one_closed(c, s):
-    """Elementary forms of 2F1(1/2,1;c;chi) for c in {1,2,3,4}, from
-    s = sqrt(1-chi).
-
-    Written in conjugate-root form: the textbook chi^{-n} prefactor versions
-    cancel catastrophically near chi=0, these do not. Valid for chi <= 1.
-    """
-    if c == 1.0:
-        return 1.0 / s
-    if c == 2.0:
-        return 2.0 / (1.0 + s)
-    if c == 3.0:
-        return (4.0 / 3.0) * (1.0 + 2.0 * s) / (1.0 + s) ** 2
-    return 0.4 * (3.0 + 9.0 * s + 8.0 * s * s) / (1.0 + s) ** 3
-
-
 def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
     """Evaluate 2F1(1/2, 1; c; chi) for chi <= 1.
 
     Routes: the unit-argument Gauss point for chi=1 (c > 3/2 only), where
     Gauss's theorem reduces to (2c-2)/(2c-3), within 4 eps at every c;
-    elementary closed forms for c in {1,2,3,4}; and otherwise one series,
-    the quadratic transformation of Abramowitz & Stegun 15.3.19,
+    the elementary form 1/s for c = 1; and otherwise one series, the
+    quadratic transformation of Abramowitz & Stegun 15.3.19,
 
         2F1(1/2, 1; c; chi) = 2/(1+s) 2F1(1, 2-c; c; w),
 
     s = sqrt(1-chi), w = (1-s)/(1+s) = chi/(1+s)^2. It maps all of chi < 1
     into |w| < 1; near chi = 1 its length grows like (1-chi)^(-1/2) (about
-    16/s terms for tol = 1e-14), and for integer c >= 5 it terminates. The
-    estimate is the series' tail and rounding floor plus 4 eps sum n|t_n|,
-    which bounds what the rounding of w does to a long series.
+    16/s terms for tol = 1e-14), and for integer c >= 2 it is a polynomial
+    of degree c - 2 in w, summed in at most c + 1 terms. At c = 1 it would
+    be geometric in w, long at both ends of chi. The estimate is
+    _series_sum's, whose 4 eps sum n|t_n| bounds what the rounding of w
+    does to a long series.
 
     ``_s`` is private: s formed by a caller that knows 1 - chi better than
     the rounded chi does (sums.sum_closed, sums.letac_sum).
@@ -306,11 +257,12 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
         raise DomainError("require finite c > 0")
     if not -math.inf < chi <= 1.0:
         raise DomainError("require finite chi <= 1")
+    max_terms = _term_cap(max_terms)
     if chi == 1.0:
         if c <= 1.5:
             raise DomainError("2F1(1/2,1;c;1) diverges for c <= 3/2")
-        # Gauss's theorem in elementary form: gauss_point's exp of lgamma
-        # differences loses digits like c log c.
+        # Gauss's theorem in elementary form: an exp of lgamma differences
+        # would lose digits like c log c.
         v = (2.0 * c - 2.0) / (2.0 * c - 3.0)
         return EvalResult(
             value=v,
@@ -319,18 +271,17 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
             method=Method.GaussPoint,
         )
     s = math.sqrt(1.0 - chi) if _s is None else _s
-    if c in (1.0, 2.0, 3.0, 4.0):
-        v = _half_one_closed(c, s)
+    if c == 1.0:
+        v = 1.0 / s
         return EvalResult(
             value=v,
-            abs_error_estimate=4.0 * abs(v) * 2.2e-16,
+            abs_error_estimate=4.0 * v * 2.2e-16,
             terms_used=0,
             method=Method.ClosedForm,
         )
-    max_terms = _term_cap(max_terms)
     # Two divisions: (1+s)^2 overflows for chi below about -1.7e308.
     w = chi / (1.0 + s) / (1.0 + s)
-    value, tail, used, ok = _series_sum(1.0, 2.0 - c, c, w, tol, max_terms, drift=True)
+    value, tail, used, ok = _series_sum(1.0, 2.0 - c, c, w, tol, max_terms)
     if not ok:
         raise NonConvergent("quadratic-transformation series hit the %d-term cap" % max_terms)
     pref = 2.0 / (1.0 + s)

@@ -32,7 +32,6 @@ from .special import (
     _ladder,
     _term_cap,
     hyp2f1_half_one,
-    log_abs_gamma,
 )
 
 __all__ = [
@@ -73,24 +72,18 @@ class SumParams:
 
 @dataclass(frozen=True)
 class ClosedFormArgument:
-    """Derived quantities of the closed form: X, xi, and the continuation
-    threshold xi_star (absent for eta = 1, where it is infinite)."""
+    """Derived quantities of the closed form: X = (x+eta)/(1+eta) and
+    xi = x/X^2, the argument of its one function 2F1(1/2, 1; c; xi)/X."""
 
     X: float
     xi: float
-    xi_star: float | None
 
     @classmethod
     def from_params(cls, p):
         X = (p.x + p.eta) / (1.0 + p.eta)
         # x / X / X, not x / (X*X): X*X underflows to 0 for eta near 1e-300.
         xi = p.x / X / X if X != 0.0 else math.copysign(math.inf, p.x)
-        if p.eta == 1.0:
-            star = None
-        else:
-            # One square of the quotient: (eta+1)**2 overflows past eta ~ 1e154.
-            star = ((p.eta + 1.0) / (p.eta - 1.0)) ** 2
-        return cls(X=X, xi=xi, xi_star=star)
+        return cls(X=X, xi=xi)
 
 
 class Reason(enum.Enum):
@@ -494,8 +487,8 @@ def sum_closed(p):
     """S(eta, c; x) through the one-function closed form.
 
     Builds X = (x+eta)/(1+eta) and xi = x/X^2 and evaluates
-    2F1(1/2, 1; c; xi)/X by hyp2f1_half_one's quadratic-transformation
-    series, with s = sqrt(1-xi) taken from (eta, x) as
+    2F1(1/2, 1; c; xi)/X by hyp2f1_half_one (its quadratic-transformation
+    series, or 1/s at c = 1), with s = sqrt(1-xi) taken from (eta, x) as
     s = sqrt((1-x)(eta^2-x))/(x+eta), since 1 - xi = (1-x)(eta^2-x)/(x+eta)^2.
     Near xi = 1, next to the eta = sqrt(x) boundary, 1 - xi cancels in
     the rounded xi: at (0.98958, 0.47498, 0.97902) an s taken from xi put
@@ -503,7 +496,8 @@ def sum_closed(p):
     (eta, x). Three special regimes:
 
     * x = -eta (X = 0): the finite limit Gamma(c)/Gamma(c-1/2) sqrt(pi/eta),
-      formed as exp of a lgamma difference. Each lgamma's absolute rounding
+      formed as exp of a math.lgamma difference (c > 1/2, so neither
+      argument is at a pole of Gamma). Each lgamma's absolute rounding
       becomes relative error, so the estimate is
       eps (8 + 2(|lgamma(c)| + |lgamma(c-1/2)|)) of the value.
     * x < -eta (X < 0, only reachable for eta < 1): the naive 1/X route
@@ -521,7 +515,7 @@ def sum_closed(p):
     if x == -eta or abs(x + eta) <= 4e-16 * (abs(x) + eta):
         if c <= 0.5:
             raise DomainError("x = -eta limit needs c > 1/2")
-        lc, lh = log_abs_gamma(c), log_abs_gamma(c - 0.5)
+        lc, lh = math.lgamma(c), math.lgamma(c - 0.5)
         v = _finite(math.exp(lc - lh) * math.sqrt(math.pi / eta), p)
         est = v * 2.2e-16 * (8.0 + 2.0 * (abs(lc) + abs(lh)))
         return EvalResult(value=v, abs_error_estimate=est,
@@ -606,7 +600,9 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     the ladder value at k-1 (parameter shift by one half step). The direct
     route is sum_direct's block reader with the weight z^k and the term
     count shifted by that one index, and the same stop rule and error
-    floor (with |log z| for the weight's log).
+    floor (with |log z| for the weight's log). Both methods pass tol and
+    max_terms on, and a max_terms that is not a whole number >= 1 raises
+    DomainError on either.
     """
     if not 0.0 < z < 1.0:
         raise DomainError("require 0 < z < 1")
@@ -614,20 +610,20 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise DomainError("require 0 < x < (1-z)^2")
     if not 0 < c < math.inf:
         raise DomainError("require finite c > 0")
+    max_terms = _term_cap(max_terms)
     method = method.lower()
     if method == "closed":
         # s = sqrt(1 - chi) from (1-z)^2 - x = (1-z-sqrt(x))(1-z+sqrt(x)),
         # which does not cancel next to x = (1-z)^2.
         r = math.sqrt(x)
         s = math.sqrt((1.0 - z - r) * (1.0 - z + r)) / (1.0 - z)
-        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2, _s=s)
+        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2, tol, max_terms, _s=s)
         pref = z / (1.0 - z)
         return EvalResult(value=pref * inner.value,
                           abs_error_estimate=pref * inner.abs_error_estimate,
                           terms_used=inner.terms_used, method=inner.method)
     if method != "direct":
         raise ValueError("method must be 'direct' or 'closed'")
-    max_terms = _term_cap(max_terms)
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
     s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms)

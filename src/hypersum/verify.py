@@ -25,7 +25,7 @@ from .branching import (
     progeny_pmf_series_coeffs,
 )
 from .simulate import SimConfig, chi_square_threshold, gof_compare, simulate_total_progeny
-from .special import HypParams, _half_one_closed, gauss_point, hyp2f1_large_k, hyp2f1_ladder, hyp2f1_series
+from .special import HypParams, hyp2f1_half_one, hyp2f1_large_k, hyp2f1_ladder, hyp2f1_series
 from .sums import SumParams, convergence_check, normalization_identity, sum_closed, sum_direct, sum_special
 
 __all__ = ["SUITES", "run_suite"]
@@ -47,6 +47,14 @@ def _series_reference(c, chi):
         return hyp2f1_series(HypParams(0.5, 1.0, c, chi)).value
     u = chi / (chi - 1.0)
     return (1.0 - chi) ** -0.5 * hyp2f1_series(HypParams(0.5, c - 1.0, c, u)).value
+
+
+def _gauss_reference(c):
+    """2F1(1/2, 1; c; 1) = Gamma(c) Gamma(c-3/2) / (Gamma(c-1/2) Gamma(c-1))
+    by Gauss's theorem, as exp of lgamma values; c > 3/2. Never touches the
+    elementary (2c-2)/(2c-3) that hyp2f1_half_one returns."""
+    return math.exp(math.lgamma(c) + math.lgamma(c - 1.5)
+                    - math.lgamma(c - 0.5) - math.lgamma(c - 1.0))
 
 
 def theorem1_suite(n=200, seed=17, tol=1e-9):
@@ -120,13 +128,14 @@ def theorem2_suite():
 
 
 def closed_forms_suite():
-    """Elementary closed forms against plain series, plus both boundary
-    values: the unit-argument point and the x = -eta limit."""
+    """hyp2f1_half_one at c in {1, 2, 3, 4} and the elementary S forms
+    against plain series, plus both boundary values: the unit-argument
+    point against Gauss's theorem and the x = -eta limit."""
     worst_f = 0.0
     for c in (1.0, 2.0, 3.0, 4.0):
         for chi in np.linspace(-5.0, 0.95, 120):
             ref = _series_reference(c, float(chi))
-            got = _half_one_closed(c, math.sqrt(1.0 - chi))
+            got = hyp2f1_half_one(c, float(chi)).value
             worst_f = max(worst_f, abs(got - ref) / abs(ref))
     worst_s = 0.0
     for c in (1.0, 2.0, 3.0):
@@ -144,8 +153,8 @@ def closed_forms_suite():
                 worst_s = max(worst_s, abs(got - ref) / abs(ref))
     worst_g = 0.0
     for c in np.linspace(1.6, 6.0, 23):
-        got = gauss_point(0.5, 1.0, float(c))
-        ref = (2.0 * c - 2.0) / (2.0 * c - 3.0)
+        got = hyp2f1_half_one(float(c), 1.0).value
+        ref = _gauss_reference(float(c))
         worst_g = max(worst_g, abs(got - ref) / abs(ref))
     worst_l = 0.0
     for eta in (0.25, 0.6, 1.0):

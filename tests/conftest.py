@@ -81,16 +81,16 @@ def mp_ladder(c, x, kmax, dps=60):
 
 
 def ref_series_sum(a, b, c, x, tol, max_terms):
-    """Scalar reference for special._series_sum without ``drift``: one plain
-    loop over every term, which _series_sum must match bit for bit. The
-    tail estimate adds the rounding floor 4 eps sum|t| over the terms
-    used."""
+    """Scalar reference for special._series_sum: one plain loop over every
+    term, which _series_sum must match bit for bit. The tail estimate adds
+    4 eps (sum|t| + sum n|t_n|) over the terms used."""
     huge = 1e250
     ln2 = math.log(2.0)
     off = 0.0
     acc = 1.0
     term = 1.0
     mass = 1.0
+    mom = 0.0
     ratio = 0.0
     small = 0
     n = 0
@@ -102,6 +102,7 @@ def ref_series_sum(a, b, c, x, tol, max_terms):
         at = abs(term)
         aa = abs(acc)
         mass += at
+        mom += n * at
         if at <= tol * aa:
             small += 1
             if small >= 2:
@@ -114,11 +115,12 @@ def ref_series_sum(a, b, c, x, tol, max_terms):
             term *= sc
             acc *= sc
             mass *= sc
+            mom *= sc
             off += e * ln2
     converged = small >= 2
     r = min(abs(x), 0.999999)
     r = max(r, min(abs(ratio), 0.999999))
-    tail = abs(term) * r / (1.0 - r) + 4.0 * 2.220446049250313e-16 * mass
+    tail = abs(term) * r / (1.0 - r) + 4.0 * 2.220446049250313e-16 * (mass + mom)
     if off == 0.0:
         return acc, tail, n + 1, converged
     sign = 1.0 if acc >= 0 else -1.0

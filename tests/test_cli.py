@@ -58,6 +58,15 @@ class TestHyp2f1Command:
         assert rec["status"] == "OverflowError"
         assert "error" in proc.stderr
 
+    def test_half_one_at_huge_negative_x(self):
+        # 2F1(1/2, 1; 4; -1e300) = 3.2e-150, with s = sqrt(1 - x) = 1e150:
+        # no step may form (1+s)^3, which is past double range.
+        proc = run_cli("hyp2f1", "--a", "0.5", "--b", "1", "--c", "4", "--x=-1e300")
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json_lines(proc)
+        assert rec["status"] == "ok"
+        assert rec["value"] == pytest.approx(3.2e-150, rel=1e-14)
+
     def test_nan_argument_exits_2(self):
         proc = run_cli("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2", "--x", "nan")
         assert proc.returncode == 2
@@ -239,10 +248,10 @@ class TestVerifyCommand:
 
 
     def test_failing_suite_exits_4(self):
-        # A wrong Gauss-point value makes the closed-forms verdict a numpy
-        # bool, which must still be written as a JSON record.
+        # A wrong Gauss-theorem reference makes the closed-forms verdict a
+        # numpy bool, which must still be written as a JSON record.
         code = ("import sys, hypersum.verify as v; from hypersum.cli import main; "
-                "v.gauss_point = lambda a, b, c: 0.0; "
+                "v._gauss_reference = lambda c: 1.0; "
                 "sys.exit(main(['verify', '--suite', 'closed-forms']))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=300)

@@ -97,14 +97,15 @@ class TestConvergenceCheck:
 
 
 class TestClosedFormArgument:
+    # X = (x+eta)/(1+eta) and xi = x/X^2 at eta = 1 and at eta = 3.
     def test_eta_one_has_no_finite_threshold(self):
         arg = ClosedFormArgument.from_params(SumParams(1.0, 2.0, 0.3))
-        assert arg.xi_star is None
         assert arg.X == pytest.approx(0.65, rel=1e-15)
 
     def test_threshold_value(self):
         arg = ClosedFormArgument.from_params(SumParams(3.0, 2.0, 0.3))
-        assert arg.xi_star == pytest.approx(4.0, rel=1e-15)
+        assert arg.X == pytest.approx(0.825, rel=1e-15)
+        assert arg.xi == pytest.approx(0.3 / 0.825**2, rel=1e-15)
 
     def test_sign_of_X_tracks_x_plus_eta(self):
         arg = ClosedFormArgument.from_params(SumParams(0.3, 2.0, -0.5))
@@ -474,7 +475,6 @@ class TestSumSpecial:
                 ref = sum_closed(p).value
                 assert sum_special(p).value == pytest.approx(ref, rel=1e-13, abs=0)
                 assert evaluate(p).value == pytest.approx(ref, rel=1e-13, abs=0)
-        assert ClosedFormArgument.from_params(SumParams(eta, 2.0, 0.5)).xi_star == 1.0
 
 
 class TestEvaluate:

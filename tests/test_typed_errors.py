@@ -17,7 +17,7 @@ from hypersum.branching import (
     solve_dual_root,
 )
 from hypersum.errors import DomainError
-from hypersum.special import HypParams, gauss_point, hyp2f1_half_one, hyp2f1_series
+from hypersum.special import HypParams, hyp2f1_half_one, hyp2f1_series
 from hypersum.sums import SumParams, letac_sum, sum_direct
 
 inf = math.inf
@@ -37,7 +37,6 @@ CASES = {
     "SumParams(inf, 2, 0.5)": (lambda: SumParams(inf, 2.0, 0.5), DomainError),
     "SumParams(1, inf, 0.5)": (lambda: SumParams(1.0, inf, 0.5), DomainError),
     "GeneralProgenyLaw(inf, 0.5)": (lambda: GeneralProgenyLaw(inf, 0.5), DomainError),
-    "gauss_point(0.5, 1, inf)": (lambda: gauss_point(0.5, 1.0, inf), DomainError),
     "progeny_pgf_hypergeometric(-inf)": (
         lambda: progeny_pgf_hypergeometric(ProgenyHalfLaw(0.6), -inf), DomainError),
     "solve_dual_root(inf, 0.5)": (lambda: solve_dual_root(inf, 0.5), DomainError),
@@ -59,6 +58,13 @@ CASES = {
         lambda: letac_sum(0.3, 2.5, 0.25, method="direct", max_terms=2.5), DomainError),
     "hyp2f1_half_one(2.5, 0.5, max_terms=-1)": (
         lambda: hyp2f1_half_one(2.5, 0.5, max_terms=-1), DomainError),
+    # The branches that sum no series returned values for these.
+    "hyp2f1_half_one(1.0, 0.5, max_terms=-1)": (
+        lambda: hyp2f1_half_one(1.0, 0.5, max_terms=-1), DomainError),
+    "hyp2f1_half_one(2.0, 1.0, max_terms=-1)": (
+        lambda: hyp2f1_half_one(2.0, 1.0, max_terms=-1), DomainError),
+    "letac_sum(closed, max_terms=-3)": (
+        lambda: letac_sum(0.3, 2.5, 0.25, max_terms=-3), DomainError),
     "hyp2f1_series(max_terms=nan)": (
         lambda: hyp2f1_series(HypParams(0.5, 1.0, 2.5, 0.5), max_terms=math.nan), DomainError),
 }
