@@ -1,5 +1,10 @@
 """Weighted sums of Gauss hypergeometric functions, their closed forms,
-and the heavy-tailed branching-process distributions built on them."""
+and the heavy-tailed branching-process distributions built on them.
+
+numpy and scipy are imported inside the functions that compute with them,
+so importing the package, and every route that runs in plain Python,
+loads neither.
+"""
 
 from .branching import (
     DualRoot,

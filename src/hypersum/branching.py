@@ -11,8 +11,6 @@ purpose; agreement between them is evidence, identity would be circular.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, QuadratureFailure, RootFindFailure
 from .special import (
     _LN2,
@@ -155,6 +153,8 @@ def progeny_pmf(law, ell):
 def progeny_pmf_range(law, lmax):
     """P(total progeny = ell) for ell = 1..lmax, one ladder sweep."""
     lmax = _whole(lmax, 1, "lmax")
+    import numpy as np
+
     llam2 = 2.0 * math.log(law.lam)
     # Filled in place: a list grown block by block reallocates its buffer,
     # which raised the peak memory of a 1e6 range by about 2%.
@@ -302,6 +302,8 @@ def general_progeny_pmf(law, ell):
 def general_progeny_pmf_range(law, lmax):
     """q_ell for ell = 1..lmax from a single ladder sweep."""
     lmax = _whole(lmax, 1, "lmax")
+    import numpy as np
+
     lpref = math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
     l1mrx = math.log1p(-math.sqrt(law.x))
     out = [0.0] * lmax

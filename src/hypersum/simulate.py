@@ -13,10 +13,8 @@ worker count.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .branching import ProgenyHalfLaw, extinction_prob, progeny_pmf_range
-from .errors import DomainError, InsufficientData
+from .errors import DomainError, InsufficientData, RootFindFailure
 from .special import _whole
 
 __all__ = [
@@ -59,6 +57,8 @@ class DualOffspringSampler:
     """
 
     def __init__(self, d):
+        import numpy as np
+
         self.q = extinction_prob(d)
         self.alpha = d.alpha
         self.lam = d.lam
@@ -71,6 +71,8 @@ class DualOffspringSampler:
 
     def _grow(self, n):
         """Append up to n entries; stop for good where they stop moving."""
+        import numpy as np
+
         k = np.arange(len(self._cdf) - 1, len(self._cdf) - 1 + n)
         p = np.cumprod(np.concatenate(([self._pmf_last], self.q * (k - self.alpha) / (k + 1.0))))
         cdf = np.cumsum(np.concatenate(([self._cdf[-1]], p[1:])))
@@ -84,6 +86,8 @@ class DualOffspringSampler:
     def sample_many(self, us):
         """Offspring counts for uniform draws us in [0, 1); a draw past an
         exhausted table gets its last index."""
+        import numpy as np
+
         while not self._exhausted and np.max(us, initial=0.0) >= self._cdf[-1]:
             self._grow(len(self._cdf))
         idx = np.searchsorted(self._cdf, us, side="right")
@@ -98,7 +102,8 @@ _BLOCK = 2 ** 14
 def _block_stream(seed, block):
     # Counter word 3 carries the block index: disjoint 2^192-draw streams
     # per block, independent of scheduling. numpy.random is imported here,
-    # not with the package, which most processes use without it.
+    # as numpy is in each function that computes with it, not with the
+    # package: most processes never draw.
     from numpy.random import Generator, Philox
     return Generator(Philox(key=seed, counter=[0, 0, 0, block]))
 
@@ -110,6 +115,8 @@ def _run_block(sampler, rng, n, cap):
     draw of uniforms, taken in replicate order. A replicate stops when
     it dies out or its total reaches cap at the end of a generation.
     """
+    import numpy as np
+
     total = np.ones(n, dtype=np.int64)
     live = np.arange(n)
     alive = np.ones(n, dtype=np.int64)
@@ -126,6 +133,8 @@ def _run_block(sampler, rng, n, cap):
 def _run_blocks(d, seed, lo, hi, n, cap):
     """Counts of uncensored totals and the censored number over blocks
     lo..hi-1 of an n-replicate run."""
+    import numpy as np
+
     sampler = DualOffspringSampler(d)
     totals = np.concatenate([
         _run_block(sampler, _block_stream(seed, b), min(_BLOCK, n - b * _BLOCK), cap)
@@ -208,16 +217,112 @@ class GofReport:
         }
 
 
+# chi_square_threshold's largest dof: its tail sums take about 6 sqrt(dof)
+# terms.
+_MAX_DOF = 10 ** 10
+
+
+def _chi2_log_tail(a, lg, u, upper):
+    """(log tail, log t0, y) at y = e^u for the chi-square law with 2a
+    degrees of freedom (a whole or a half) at x = 2y.
+
+    The tail is Q(a, y) = P(X > x) if ``upper``, else P(a, y) = P(X <= x),
+    the regularised incomplete gamma functions; t0 = y^a e^-y / Gamma(a+1),
+    and lg = lgamma(a + 1). Below y = a + 1, P is its series
+    t0 (1 + y/(a+1) + y^2/((a+1)(a+2)) + ...) (A&S 6.5.29); from there Q is
+    the finite sum t0 (a/y + a(a-1)/y^2 + ...) down to the last factor
+    >= 1, plus erfc(sqrt y) for a half (A&S 26.4.4-26.4.5). Both sums have
+    positive terms and stop once a term is under 1e-17 of the sum. The
+    other tail is the complement, which is at least 0.083 on its side of
+    y = a + 1.
+    """
+    y = math.exp(u)
+    l0 = a * u - y - lg
+    if y < a + 1.0:
+        s = t = 1.0
+        n = a
+        while t > 1e-17 * s:
+            n += 1.0
+            t *= y / n
+            s += t
+        lt = l0 + math.log(s)
+        return (math.log1p(-math.exp(lt)) if upper else lt), l0, y
+    s = 0.0
+    t = 1.0
+    n = a
+    while n >= 1.0:
+        t *= n / y
+        s += t
+        if t <= 1e-17 * s:
+            break
+        n -= 1.0
+    if a % 1.0:
+        # erfc(sqrt y) < t0 here, so its ratio to t0 cannot overflow; it
+        # underflows to 0 for y above about 740.
+        e = math.erfc(math.sqrt(y))
+        if e:
+            s += math.exp(math.log(e) - l0)
+    lt = l0 + math.log(s)
+    return (lt if upper else math.log1p(-math.exp(lt))), l0, y
+
+
 def chi_square_threshold(dof, quantile=0.999):
-    """The chi-square ``quantile`` at ``dof`` degrees of freedom: twice the
-    inverse of the regularised lower incomplete gamma function at dof/2.
-    Requires a whole dof >= 1 and 0 < quantile < 1."""
+    """The chi-square ``quantile`` at ``dof`` degrees of freedom, in plain
+    Python. Requires a whole dof in [1, 1e10] and 0 < quantile < 1.
+
+    At a whole dof both tails are elementary (_chi2_log_tail). Halley's
+    method on u = log(x/2) solves log tail = log p for the smaller tail:
+    p = quantile, or 1 - quantile (exact) above 1/2. It starts from
+    Wilson-Hilferty with the normal quantile of A&S 26.2.23, for the lower
+    tail no lower than (p Gamma(dof/2 + 1))^(2/dof), where P's leading term
+    alone reaches p. A step that leaves the bracket of the signs seen so
+    far bisects it. log tail varies on a scale of about 1/sqrt(dof/2) in u
+    near the median, so once a step is under 1e-5/(1 + sqrt(dof/2)) the
+    cubic convergence leaves it an error far below 1e-15, and the search
+    ends with that step. Against 30-digit mpmath, for dof 1 to 200, 1e3,
+    1e4 and 1e5 and quantiles 1e-6 to 1 - 1e-9, x is within 1.2e-14
+    relative up to dof 1000 and 1.1e-13 above.
+    """
     dof = _whole(dof, 1, "dof")
+    if dof > _MAX_DOF:
+        raise DomainError("dof must be at most 1e10")
     if not 0.0 < quantile < 1.0:
         raise DomainError("quantile must be in (0, 1)")
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(dof / 2.0, quantile))
+    a = dof / 2.0
+    lg = math.lgamma(a + 1.0)
+    upper = quantile > 0.5
+    lp = math.log(1.0 - quantile if upper else quantile)
+    t = math.sqrt(-2.0 * lp)
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    h = 2.0 / (9.0 * dof)
+    w = 1.0 - h + (z if upper else -z) * math.sqrt(h)
+    u = math.log(a * w ** 3) if w > 0.0 else -math.inf
+    if not upper:
+        u = max(u, (lp + lg) / a)
+    tol = 1e-5 / (1.0 + math.sqrt(a))
+    lo, hi = -math.inf, math.inf
+    for _ in range(100):
+        lt, l0, y = _chi2_log_tail(a, lg, u, upper)
+        g = lt - lp
+        # Q falls and P rises with u: the root lies above u where Q is too
+        # large or P too small.
+        if (g > 0.0) == upper:
+            lo = u
+        else:
+            hi = u
+        # g' = +-a t0/tail (Q falls, P rises); g'' = g' (a - y - g').
+        d1 = a * math.exp(l0 - lt)
+        if upper:
+            d1 = -d1
+        d2 = d1 * (a - y - d1)
+        step = 2.0 * g * d1 / (2.0 * d1 * d1 - g * d2)
+        if abs(step) <= tol:
+            return 2.0 * math.exp(u - step)
+        u -= step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    raise RootFindFailure("chi-square quantile: no convergence after 100 steps")
 
 
 def gof_compare(sim, law, bins=20):

@@ -9,8 +9,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NonConvergent
 
 __all__ = [
@@ -351,7 +349,7 @@ def _seed_width(p, z, tol):
     return int(n) + 1
 
 
-def _ladder_seeds(c, x, rows, k0=0):
+def _ladder_seeds(c, x, rows, k0=0, size=None):
     """G_k for k = k0..k0+rows-1 (ints) as a list of floats, in one pass.
 
     One column per k holds 2F1(a, b; c; x), a = (k+1)/2, b = a + 1/2, or for
@@ -360,11 +358,14 @@ def _ladder_seeds(c, x, rows, k0=0):
     ``**``. Each block takes the column-wise multiply.accumulate of its
     term ratios, seeded by each column's last term, and adds it to the
     column sums. The first block is sized from the slowest series' decay
+    (``size``, where the caller has it from _seed_width, else formed here)
     and later ones double, within _SEED_BLOCK_SIZE terms. The pass ends
     when every series' last two terms are at most _SEED_TOL times its sum;
     it raises NonConvergent after _SEED_MAX_TERMS terms, and OverflowError
     when a series leaves double range.
     """
+    import numpy as np
+
     a = np.arange(k0 + 1, k0 + rows + 1) / 2.0
     b = a + 0.5
     z = x
@@ -375,7 +376,8 @@ def _ladder_seeds(c, x, rows, k0=0):
     total = np.ones(rows)
     n = 0
     cap = max(2, _SEED_BLOCK_SIZE // rows)
-    size = _seed_width(k0 + rows - c - 0.5 if x >= 0.0 else 0.0, z, _SEED_TOL)
+    if size is None:
+        size = _seed_width(k0 + rows - c - 0.5 if x >= 0.0 else 0.0, z, _SEED_TOL)
     with np.errstate(over="raise", invalid="raise"):
         try:
             while True:
@@ -494,6 +496,8 @@ def _looped_block(k0, w, c, x, chains, width):
     first list is asked for, and ``chains`` is updated once the block has
     run through.
     """
+    import numpy as np
+
     A, B = _step_coeffs(np.arange(k0 - 1, k0 - 1 + w) / 2.0, c, x)
     A = A.tolist()
     B = B.tolist()
@@ -530,6 +534,8 @@ def _looped_block(k0, w, c, x, chains, width):
 def _frexp_lists(lists):
     """(frac, exp) arrays of the (vals, (ep, eq)) lists of _looped_block,
     in order, with G = frac * 2**exp."""
+    import numpy as np
+
     vals = []
     shifts = []
     for v, e in lists:
@@ -606,6 +612,8 @@ def _chunked_block(k0, L, rows, c, x, chains):
     error at x = -0.9), while the direct form stays within 10% of it.
     Returns (frac, exp) and updates ``chains``.
     """
+    import numpy as np
+
     # Step i of row r is step 2 (r//2 L + i) + r%2 of the block.
     r = np.arange(rows)
     a = np.arange(L, dtype=float)[:, None] + (k0 - 1 + (r // 2 * (2 * L) + r % 2)) / 2.0
@@ -704,6 +712,8 @@ def _ladder(c, x, n=None, width=None):
     exponent never drifts. No validation: callers check c > 0 and
     -1 <= x < 1.
     """
+    import numpy as np
+
     # Seed depth: keeps every middle index strictly above the lone
     # coefficient pole at k = c - 1/2.
     m = max(4, math.ceil(c + 1.5) + 1)
@@ -745,6 +755,8 @@ def _ladder(c, x, n=None, width=None):
 def _ladder_upto(c, x, n):
     """Yield (k, frac, exp) arrays block by block over k = 0..n-1 (n >= 1)
     of _ladder, where G_k = frac * 2**exp."""
+    import numpy as np
+
     k0 = 0
     for frac, exp in _ladder(c, x, n):
         m = min(len(frac), n - k0)
@@ -756,12 +768,13 @@ def _ladder_upto(c, x, n):
 
 def _ladder_value(c, x, k):
     """(frac, exp) with G_k = frac * 2**exp: for 0 < x < 1 and k <= 150 the
-    one column _ladder_seeds(c, x, 1, k), else (or where that series leaves
-    double range or stalls) the ladder's value. At x < 0 a single Pfaff
-    column loses every digit by k = 150."""
-    if 0.0 < x and k <= 150:
+    one column _ladder_seeds(c, x, 1, k) where _seed_width expects it within
+    _SEED_MAX_TERMS terms, else (or where that series leaves double range or
+    stalls) the ladder's value. At x < 0 a single Pfaff column loses every
+    digit by k = 150."""
+    if 0.0 < x and k <= 150 and (size := _seed_width(k + 0.5 - c, x, _SEED_TOL)) <= _SEED_MAX_TERMS:
         try:
-            return math.frexp(_ladder_seeds(c, x, 1, k)[0])
+            return math.frexp(_ladder_seeds(c, x, 1, k, size)[0])
         except (OverflowError, NonConvergent):
             pass
     for _, frac, exp in _ladder_upto(c, x, k + 1):
@@ -813,6 +826,8 @@ def hyp2f1_ladder(c, x, kmax):
     if not -1.0 <= x < 1.0:
         raise DomainError("ladder requires -1 <= x < 1")
     kmax = _whole(kmax, 0, "kmax")
+    import numpy as np
+
     logs = []
     signs = []
     with np.errstate(divide="ignore"):

@@ -20,8 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NotConvergent, SlowConvergence
 from .special import (
     _LN2,
@@ -251,6 +249,8 @@ def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
     np.exp's last bit. Returns (s, sum|t|, sum (k + shift)|t|, last term,
     terms read, small-term count), the count being 3 when the sum stopped.
     """
+    import numpy as np
+
     js = np.arange(k + shift, k + shift + len(frac), dtype=float)
     ts = js * lw
     ts += exp * _LN2
@@ -304,6 +304,8 @@ def _fitted_tail(p, K, t_K, t_J):
     summed in blocks until its terms fall under 1e-17 of it, and its
     estimate is |tail - the same sum with d = 0|.
     """
+    import numpy as np
+
     J = K - _TAIL_BLOCK
     if t_J is None or not (math.isfinite(t_K) and math.isfinite(t_J)) or t_K * t_J <= 0.0:
         return None

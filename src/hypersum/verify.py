@@ -9,8 +9,6 @@ and the measured figures. Nothing here trusts the route it is checking.
 import math
 import time
 
-import numpy as np
-
 from .branching import (
     GeneralProgenyLaw,
     ProgenyHalfLaw,
@@ -64,6 +62,8 @@ def theorem1_suite(n=200, seed=17, tol=1e-9):
     the other half probe the eta < 1 pocket, where x is squeezed into
     (-0.9 eta, 0.95 eta^2] and the closed-form argument goes far negative.
     """
+    import numpy as np
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -131,6 +131,8 @@ def closed_forms_suite():
     """hyp2f1_half_one at c in {1, 2, 3, 4} and the elementary S forms
     against plain series, plus both boundary values: the unit-argument
     point against Gauss's theorem and the x = -eta limit."""
+    import numpy as np
+
     worst_f = 0.0
     for c in (1.0, 2.0, 3.0, 4.0):
         for chi in np.linspace(-5.0, 0.95, 120):
@@ -175,6 +177,7 @@ def _general_tail_estimate(law, head_len):
     fitted from exact values at moderate ell, and the tail is summed in
     closed form with Hurwitz zetas. Good to ~1e-11 absolute at head 1e4.
     """
+    import numpy as np
     from scipy.special import zeta
 
     c, x = law.c, law.x
@@ -200,6 +203,8 @@ def corollary1_suite():
     """Normalization identities: half-law progeny mass, the S-based
     identity at five x values, triple-route pmf agreement, and the general
     family's mass and tail exponent."""
+    import numpy as np
+
     # Half-law mass to 2000 with a geometric-ratio tail bound.
     worst_half = 0.0
     for Q in (0.1, 0.5, 0.9):
@@ -309,6 +314,8 @@ def functional_eq_suite():
     """Fixed-point identity of the progeny transform on a 5x5x5 grid, and
     agreement of the root-finding route with the elementary alpha = 1/2
     generating function."""
+    import numpy as np
+
     alphas = (0.25, 0.375, 0.5, 0.625, 0.75)
     lams = (0.25, 0.375, 0.5, 0.625, 0.75)
     zs = (0.1, 0.325, 0.55, 0.775, 1.0)

@@ -248,6 +248,15 @@ class TestProgenyHalfLaw:
         law = ProgenyHalfLaw(lam)
         assert progeny_pmf(law, ell) == pytest.approx(progeny_pmf_range(law, ell)[-1], rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("lam,step", [(0.02, 7), (0.05, 1), (0.1, 1)])
+    def test_points_near_q_one_match_the_range(self, lam, step):
+        # Where _seed_width expects a column past the seed cap, the point
+        # goes to the ladder without summing the column to its cap.
+        law = ProgenyHalfLaw(lam)
+        full = progeny_pmf_range(law, 150)
+        for ell in sorted({*range(1, 151, step), 150}):
+            assert progeny_pmf(law, ell) == pytest.approx(full[ell - 1], rel=1e-12, abs=0)
+
     def test_stalled_ladder_seeds_still_raise(self):
         # At lam = 0.01 the ladder's own seed series stall as well.
         with pytest.raises(NonConvergent):

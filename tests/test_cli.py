@@ -273,20 +273,60 @@ class TestOutputRedirect:
         assert recs[0]["p"] == pytest.approx(0.625, rel=1e-13)
 
 
-class TestImportSurface:
-    def test_cli_import_loads_no_scipy(self):
-        code = ("import sys, hypersum.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+def _loaded_after(code):
+    """(rc, modules) after ``code`` runs in a fresh interpreter: the value
+    ``code`` leaves in ``rc``, and which of numpy, scipy, numpy.random and
+    multiprocessing sys.modules then holds."""
+    probe = ("import contextlib, io, json, sys\n"
+             "rc = None\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "    %s\n"
+             "print(json.dumps([rc, sorted(m for m in sys.modules if m in "
+             "('numpy', 'scipy', 'numpy.random', 'multiprocessing'))]))" % code)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, mods = json.loads(proc.stdout)
+    return rc, set(mods)
 
-    def test_cli_import_loads_no_random_or_multiprocessing(self):
-        # simulate imports them where it draws and where it forks workers.
-        code = ("import sys, hypersum.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'multiprocessing' or m.startswith('numpy.random')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+
+def _main(*argv):
+    return "from hypersum import cli; rc = cli.main(%r)" % (list(argv),)
+
+
+class TestImportSurface:
+    @pytest.mark.parametrize("code", ["import hypersum", "import hypersum.cli"],
+                             ids=["package", "cli"])
+    def test_import_loads_neither_numpy_nor_scipy(self, code):
+        # Each is imported by the functions that compute with it: simulate
+        # imports numpy.random where it draws and multiprocessing where it
+        # forks workers.
+        assert _loaded_after(code) == (None, set())
+
+    @pytest.mark.parametrize("argv,rc", [
+        (("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2.5", "--x", "-3"), 0),
+        (("hyp2f1", "--a", "0.7", "--b", "1.2", "--c", "2.5", "--x", "0.3"), 0),
+        (("sum", "--eta", "2", "--c", "2", "--x", "0.5"), 0),
+        (("sum", "--eta", "2", "--c", "2", "--x", "0.5", "--method", "closed"), 0),
+        (("sum", "--eta", "2", "--c", "2", "--x", "0.5", "--method", "special"), 0),
+        (("sum", "--eta", "0.4", "--c", "2", "--x", "0.5"), 2),
+        (("sum", "--eta", "0.4", "--c", "2", "--x", "0.5", "--method", "direct"), 2),
+        (("progeny", "pmf", "--lambda", "0.6", "--lmax", "0"), 2),
+        (("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2", "--x", "nan"), 2),
+        (("progeny", "pgf", "--lambda", "0.6", "--z", "0.5"), 0),
+        (("progeny", "pgf", "--lambda", "0.6", "--z", "12"), 0),
+    ])
+    def test_plain_python_routes_and_error_paths_load_no_numpy(self, argv, rc):
+        got, mods = _loaded_after(_main(*argv))
+        assert got == rc
+        assert "numpy" not in mods and "scipy" not in mods
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--lambda", "0.6", "--n", "2000", "--seed", "3"),
+        ("verify", "--suite", "montecarlo", "--replicates", "20000"),
+    ])
+    def test_monte_carlo_loads_no_scipy(self, argv):
+        got, mods = _loaded_after(_main(*argv))
+        assert got == 0
+        assert "numpy" in mods and "scipy" not in mods

@@ -10,6 +10,7 @@ import hashlib
 import math
 from itertools import accumulate
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -256,3 +257,30 @@ class TestAgainstAnalyticLaw:
     def test_threshold_monotone(self):
         assert chi_square_threshold(10) < chi_square_threshold(20)
         assert chi_square_threshold(10, 0.99) < chi_square_threshold(10, 0.999)
+
+
+class TestChiSquareThreshold:
+    QUANTILES = (1e-6, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+
+    def test_tail_at_the_threshold_matches_30_digit_mpmath(self):
+        # The miss of the wanted tail at the returned x (regularised
+        # incomplete gamma, 30 digits) over the density there is x's error
+        # to first order.
+        with mp.workdps(30):
+            for dof in list(range(1, 201)) + [1000, 10_000, 100_000]:
+                a = mp.mpf(dof) / 2
+                for q in self.QUANTILES:
+                    x = chi_square_threshold(dof, q)
+                    y = mp.mpf(x) / 2
+                    if q > 0.5:
+                        miss = mp.gammainc(a, y, mp.inf, regularized=True) - (1 - mp.mpf(q))
+                    else:
+                        miss = mp.gammainc(a, 0, y, regularized=True) - mp.mpf(q)
+                    density = mp.exp((a - 1) * mp.log(y) - y - mp.loggamma(a)) / 2
+                    rel = abs(miss / density) / x
+                    assert rel <= (1e-12 if dof <= 1000 else 1e-10), (dof, q, float(rel))
+
+    def test_dof_past_its_sums_is_rejected(self):
+        # The tail sums take about 6 sqrt(dof) terms.
+        with pytest.raises(DomainError):
+            chi_square_threshold(10 ** 10 + 1)
