@@ -304,6 +304,23 @@ class TestImportSurface:
         # forks workers.
         assert _loaded_after(code) == (None, set())
 
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, hypersum.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_random_or_multiprocessing(self):
+        # simulate imports them where it draws and where it forks workers.
+        code = ("import sys, hypersum.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m.startswith('numpy.random')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("argv,rc", [
         (("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2.5", "--x", "-3"), 0),
         (("hyp2f1", "--a", "0.7", "--b", "1.2", "--c", "2.5", "--x", "0.3"), 0),
