@@ -207,7 +207,12 @@ def progeny_pgf_hypergeometric(law, z):
     return (z / 2.0) / denom * inner.value
 
 
-def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
+# The Bessel oracle accepts a quadrature error estimate up to this share of
+# its value, or up to 1e-9.
+_ORACLE_RTOL = 1e-10
+
+
+def progeny_pmf_bessel_oracle(law, ell):
     """P(total progeny = ell) as a Bessel-transform integral.
 
     p_ell = Q^{-1/2}/(ell-1)! * integral_0^inf u^(ell-2) e^(-gamma u)
@@ -242,7 +247,7 @@ def progeny_pmf_bessel_oracle(law, ell, rtol=1e-10):
         hi *= 1.5
     val, err = quad(f, 0.0, hi, points=[peak] if peak < hi else None,
                     limit=400, epsabs=1e-14, epsrel=1e-12)
-    if not math.isfinite(val) or err > max(rtol * abs(val), 1e-9):
+    if not math.isfinite(val) or err > max(_ORACLE_RTOL * abs(val), 1e-9):
         raise QuadratureFailure("integral error %.3g too large" % err)
     return val
 

@@ -5,6 +5,10 @@ per-command header); diagnostics go to stderr. Every record carries a
 ``status`` field, and a typed error is written as a record by the same
 writer. Exit codes: 0 success, 2 domain or convergence rejection,
 3 numerical failure, 4 verification-suite failure.
+
+Each command runs the library at its defaults: ``hyp2f1`` at tolerance
+1e-14, ``simulate`` with a progeny cap of 100,000 and 20 chi-square cells.
+Records hold only Python values, so the JSON writer needs no hook.
 """
 
 import argparse
@@ -33,7 +37,7 @@ from .errors import (
     SlowConvergence,
 )
 from .simulate import SimConfig, chi_square_threshold, gof_compare, simulate_total_progeny
-from .special import DEFAULT_TOL, HypParams, hyp2f1_half_one, hyp2f1_series
+from .special import HypParams, hyp2f1_half_one, hyp2f1_series
 from .sums import SumParams, evaluate
 from .verify import SUITES, run_suite
 
@@ -60,9 +64,9 @@ _COLUMNS = {
 
 def _cmd_hyp2f1(args):
     if args.a == 0.5 and args.b == 1.0:
-        res = hyp2f1_half_one(args.c, args.x, tol=args.tol)
+        res = hyp2f1_half_one(args.c, args.x)
     else:
-        res = hyp2f1_series(HypParams(args.a, args.b, args.c, args.x), tol=args.tol)
+        res = hyp2f1_series(HypParams(args.a, args.b, args.c, args.x))
     yield {"a": args.a, "b": args.b, "c": args.c, "x": args.x,
            "value": res.value, "abs_error_estimate": res.abs_error_estimate,
            "terms_used": res.terms_used, "method": res.method.value, "status": "ok"}
@@ -104,16 +108,15 @@ def _cmd_general(args):
 
 def _cmd_simulate(args):
     d = ScaledSibuya(args.alpha, args.lam)
-    cfg = SimConfig(seed=args.seed, replicates=args.n,
-                    progeny_cap=args.cap, workers=args.workers)
-    sim = simulate_total_progeny(d, cfg)
+    sim = simulate_total_progeny(d, SimConfig(seed=args.seed, replicates=args.n,
+                                              workers=args.workers))
     # No analytic half-law cells away from alpha = 1/2.
     record = {"alpha": args.alpha, "lambda": args.lam,
               "replicates": sim.replicates, "seed": args.seed,
               "censored": sim.censored, "chi_square": None, "dof": None,
               "threshold_0999": None, "max_abs_deviation": None}
     if args.alpha == 0.5:
-        rep = gof_compare(sim, ProgenyHalfLaw(args.lam), bins=args.bins)
+        rep = gof_compare(sim, ProgenyHalfLaw(args.lam))
         record.update({"chi_square": rep.chi_square, "dof": rep.dof,
                        "threshold_0999": chi_square_threshold(rep.dof),
                        "max_abs_deviation": rep.max_abs_deviation,
@@ -149,7 +152,6 @@ def _build_parser():
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_format(p)
 
     p = sub.add_parser("sum", help="evaluate the weighted sum S(eta, c; x)")
@@ -181,9 +183,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="replicates")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--bins", type=int, default=20)
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -214,13 +214,6 @@ def _finite(v):
     return True
 
 
-def _plain(o):
-    """A numpy scalar (a suite's verdict may be a numpy bool) as its Python value."""
-    if hasattr(o, "item"):
-        return o.item()
-    raise TypeError("%s is not JSON serializable" % type(o).__name__)
-
-
 def _writer(out, fmt, columns):
     """A function that writes one record as a JSON line or as a CSV row.
 
@@ -228,7 +221,7 @@ def _writer(out, fmt, columns):
     keys outside the header are dropped and ``None`` is an empty cell.
     """
     if fmt == "json":
-        return lambda rec: out.write(json.dumps(rec, allow_nan=False, default=_plain) + "\n")
+        return lambda rec: out.write(json.dumps(rec, allow_nan=False) + "\n")
     w = csv.DictWriter(out, columns, restval="", extrasaction="ignore", lineterminator="\n")
     w.writeheader()
     return lambda rec: w.writerow(

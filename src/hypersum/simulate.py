@@ -11,7 +11,7 @@ worker count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .branching import ProgenyHalfLaw, extinction_prob, progeny_pmf_range
 from .errors import DomainError, InsufficientData, RootFindFailure
@@ -193,28 +193,12 @@ def simulate_total_progeny(d, cfg):
 
 @dataclass(frozen=True)
 class GofReport:
-    empirical_counts: dict
-    censored: int
-    replicates: int
+    """gof_compare's statistics; the counts stay in the SimCounts compared."""
+
     chi_square: float
     dof: int
     max_abs_deviation: float
-    z_scores: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if sum(self.empirical_counts.values()) + self.censored != self.replicates:
-            raise DomainError("count conservation violated")
-
-    def to_dict(self):
-        return {
-            "empirical_counts": {str(k): v for k, v in sorted(self.empirical_counts.items())},
-            "censored": self.censored,
-            "replicates": self.replicates,
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "max_abs_deviation": self.max_abs_deviation,
-            "z_scores": {str(k): v for k, v in sorted(self.z_scores.items())},
-        }
+    z_scores: dict
 
 
 # chi_square_threshold's largest dof: its tail sums take about 6 sqrt(dof)
@@ -375,6 +359,4 @@ def gof_compare(sim, law, bins=20):
             zs[ell] = (sim.counts.get(ell, 0) - n * p) / sd
     maxdev = max(abs(sim.counts.get(ell, 0) / n - pmf[ell - 1])
                  for ell in range(1, bins + 1))
-    return GofReport(empirical_counts=dict(sim.counts), censored=sim.censored,
-                     replicates=n, chi_square=chi2, dof=dof,
-                     max_abs_deviation=maxdev, z_scores=zs)
+    return GofReport(chi_square=chi2, dof=dof, max_abs_deviation=maxdev, z_scores=zs)

@@ -17,7 +17,6 @@ __all__ = [
     "HypParams",
     "AsymptoticEval",
     "DEFAULT_TOL",
-    "DEFAULT_MAX_TERMS",
     "default_max_terms",
     "hyp2f1_series",
     "hyp2f1_half_one",
@@ -343,9 +342,12 @@ def _seed_width(p, z, tol):
     under tol; at least 16."""
     if z < 1e-3:
         return 16
+    p = max(p, 0.0)
+    lt = -math.log(tol)
+    lz = -math.log(z)
     n = 16.0
     for _ in range(3):
-        n = max(16.0, (max(p, 0.0) * math.log(n) - math.log(tol)) / -math.log(z))
+        n = max(16.0, (p * math.log(n) + lt) / lz)
     return int(n) + 1
 
 

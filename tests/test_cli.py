@@ -247,12 +247,18 @@ class TestVerifyCommand:
         assert isinstance(rec["seconds"], float) and 0.0 <= rec["seconds"] < 1e6
 
 
-    def test_failing_suite_exits_4(self):
-        # A wrong Gauss-theorem reference makes the closed-forms verdict a
-        # numpy bool, which must still be written as a JSON record.
+    @pytest.mark.parametrize("suite, patch", [
+        ("closed-forms", "v._gauss_reference = lambda c: 1.0"),
+        ("corollary1", "f = v.general_progeny_pmf_range; "
+                       "v.general_progeny_pmf_range = lambda law, n: [2.0 * q for q in f(law, n)]"),
+    ], ids=["closed-forms", "corollary1"])
+    def test_failing_suite_exits_4(self, suite, patch):
+        # A wrong Gauss-theorem reference fails closed-forms; doubled general
+        # pmf values fail corollary1's mass check, whose tail estimate is a
+        # scipy figure. Either verdict must be a Python bool, which the JSON
+        # writer takes without a hook.
         code = ("import sys, hypersum.verify as v; from hypersum.cli import main; "
-                "v._gauss_reference = lambda c: 1.0; "
-                "sys.exit(main(['verify', '--suite', 'closed-forms']))")
+                "%s; sys.exit(main(['verify', '--suite', %r]))" % (patch, suite))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 4, proc.stderr

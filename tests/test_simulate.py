@@ -25,7 +25,6 @@ from hypersum.branching import (
 from hypersum.errors import DomainError, InsufficientData
 from hypersum.simulate import (
     DualOffspringSampler,
-    GofReport,
     SimConfig,
     SimCounts,
     chi_square_threshold,
@@ -243,16 +242,6 @@ class TestAgainstAnalyticLaw:
         sim = simulate_total_progeny(OFFSPRING, SimConfig(seed=8, replicates=3))
         with pytest.raises(InsufficientData):
             gof_compare(sim, LAW)
-
-    def test_report_serializes(self, sim_100k):
-        d = gof_compare(sim_100k, LAW).to_dict()
-        assert isinstance(d["chi_square"], float)
-        assert all(isinstance(k, str) for k in d["empirical_counts"])
-
-    def test_report_conservation_checked(self):
-        with pytest.raises(DomainError):
-            GofReport(empirical_counts={1: 5}, censored=0, replicates=9,
-                      chi_square=0.0, dof=3, max_abs_deviation=0.0)
 
     def test_threshold_monotone(self):
         assert chi_square_threshold(10) < chi_square_threshold(20)
