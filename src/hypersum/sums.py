@@ -7,11 +7,15 @@ Direct summation (and the direct variant sum) reads the inner functions
 from special._ladder, the one streaming stride-2 recurrence ladder, which
 gives each G_k as a float times an integer power of two; a term is that
 float times exp(k log w + e ln 2) for weight w. One block reader,
-_ladder_sum, forms the terms, the stop rule and the running sums for both:
-term by term over the ladder's loop phase (its first 992 steps after the
-seeds), which hands out plain floats in lists of 32 and steps only as far
-as they are read, and in numpy over the chunked blocks after it. The
-closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
+_ladder_sum, forms the terms, the stop rule and the running sums for both.
+Each sum first predicts where its terms fall under tol from the large-k
+profile of G_k (_expected_terms). A sum expected to end within a few
+hundred steps of the seeds is read term by term over the ladder's loop
+phase (up to its first 992 steps), which hands out plain floats in lists
+of 32 and steps only as far as they are read, and in numpy over the
+chunked blocks after it. A longer one skips the loop phase: the ladder
+steps one chunked block sized to reach the predicted end, read in numpy.
+The closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
 X = (x+eta)/(1+eta). The two paths share no evaluation code, so they can
 check each other.
 """
@@ -28,6 +32,7 @@ from .special import (
     EvalResult,
     Method,
     _ladder,
+    _large_k_profile,
     _term_cap,
     hyp2f1_half_one,
 )
@@ -167,11 +172,42 @@ def _far_term(v, lt):
         return math.copysign(math.inf, f)
 
 
-def _ladder_sum(c, x, lw, shift, tol, n, mark=None):
+def _expected_terms(c, x, lw, shift, tol):
+    """How many terms a direct sum of t_k = G_k exp((k + shift) lw) is
+    expected to read before it stops, or None where the profile's terms do
+    not fall (or tol is 0).
+
+    The profile is special._large_k_profile's: |G_k| at x > 0, its envelope
+    at x < 0 and 1 at x = 0. The first k at which it puts |t_k| under tol,
+    plus the two more small terms of the stop rule, makes the count. On a
+    seeded sum-grid the count is exact or one short for nearly every sum
+    of 300 terms or more at x > 0; at x < 0 a zero of G_k can stop a sum
+    a few percent early.
+    """
+    a, beta, b = _large_k_profile(c, x)
+    d = b + lw
+    if not (d < 0.0 and tol > 0.0):
+        return None
+    rhs = math.log(tol) - a - shift * lw
+    if rhs >= 0.0:
+        return None
+    # Solve h(u) = d e^u + beta u - rhs = 0 for u = log k, log|t_k| being
+    # log tol there, by Newton from the root without the power term.
+    u = math.log(rhs / d)
+    for _ in range(4):
+        e = d * math.exp(u)
+        u -= (e + beta * u - rhs) / (e + beta)
+    return int(math.exp(u)) + 4
+
+
+def _ladder_sum(c, x, lw, shift, tol, n, mark=None, expect=None):
     """Running sum of t_k = G_k exp((k + shift) lw) over ladder indices
     k = 0..n-1 of special._ladder, stopping once three terms in a row have
     |t| < tol with k > 2.
 
+    ``expect`` goes to special._ladder, which plans its blocks to reach it
+    (from _expected_terms); the terms and the stop rule are the same with
+    or without it, and the values differ only in their last bits.
     The seeds and the loop phase come as lists of _READ_LIST Python floats
     v with their chain exponents e, the ladder stepping only as far as they
     are read. They are read term by term as
@@ -192,7 +228,7 @@ def _ladder_sum(c, x, lw, shift, tol, n, mark=None):
     t_mark = None
     k = 0
     exp = math.exp
-    for vals, e in _ladder(c, x, n, _READ_LIST):
+    for vals, e in _ladder(c, x, n, _READ_LIST, expect):
         if type(vals) is list:
             lim = 709.0 if e == (0, 0) else -math.inf
             k1 = k
@@ -351,10 +387,16 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     value a float times an integer power of two), one step per term, so
     large k costs neither overflow nor the accuracy of a truncated
     asymptotic. Terms are added until the absolute term stays below ``tol``
-    for three consecutive k (k > 2). The block reader _ladder_sum adds
-    the terms of the ladder's loop phase (about the first 1,000) one at a
-    time, as the ladder steps them, and later blocks in numpy, where a
-    term costs tens of nanoseconds.
+    for three consecutive k (k > 2). The large-k profile of G_k predicts
+    how many terms that takes (_expected_terms). A sum predicted to end
+    within a few hundred terms is read by the block reader _ladder_sum one
+    term at a time over the ladder's loop phase (up to about the first
+    1,000 terms), as the ladder steps them, and later blocks in numpy. A
+    longer one skips the loop: the ladder steps one chunked block sized to
+    reach the predicted end, and its terms are read in numpy, where a term
+    costs tens of nanoseconds. Past that end the sum goes on in the
+    ladder's usual blocks. The prediction changes only the last bits of
+    the value, never the stop rule or the value of a range or point query.
 
     ``abs_error_estimate`` is the geometric tail from the last term, plus
     4 eps sum|t| for rounding, plus eps (32 + |log(1-x)| + log(1+eta))
@@ -401,8 +443,9 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     fit = (verdict.convergent and not verdict.on_boundary and p.x > 0.0
            and max_terms >= _TAIL_FROM)
     mark = max_terms - _TAIL_BLOCK if fit else None
-    s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(p.c, p.x, l1x - l1e, 0, tol,
-                                                            max_terms + 1, mark)
+    lw = l1x - l1e
+    s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(
+        p.c, p.x, lw, 0, tol, max_terms + 1, mark, _expected_terms(p.c, p.x, lw, 0, tol))
     log_scale = abs(l1x) + l1e
     floor = _error_floor(sum_abs, mom, log_scale)
     if not stopped:
@@ -601,10 +644,10 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     (z/(1-z)) 2F1(1/2, 1; c; x/(1-z)^2). The inner function at index k is
     the ladder value at k-1 (parameter shift by one half step). The direct
     route is sum_direct's block reader with the weight z^k and the term
-    count shifted by that one index, and the same stop rule and error
-    floor (with |log z| for the weight's log). Both methods pass tol and
-    max_terms on, and a max_terms that is not a whole number >= 1 raises
-    DomainError on either.
+    count shifted by that one index, and the same block plan, stop rule
+    and error floor (with |log z| for the weight's log). Both methods pass
+    tol and max_terms on, and a max_terms that is not a whole number >= 1
+    raises DomainError on either.
     """
     if not 0.0 < z < 1.0:
         raise DomainError("require 0 < z < 1")
@@ -628,7 +671,8 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise ValueError("method must be 'direct' or 'closed'")
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
-    s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms)
+    s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms, None,
+                                                       _expected_terms(c, x, lz, 1, tol))
     if not stopped:
         raise SlowConvergence("variant sum did not settle in %d terms" % max_terms)
     rho = min(z / (1.0 - math.sqrt(x)), 0.999999)

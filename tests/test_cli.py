@@ -57,6 +57,9 @@ class TestHyp2f1Command:
         (rec,) = json_lines(proc)
         assert rec["status"] == "OverflowError"
         assert "error" in proc.stderr
+        # The record names the series and how far past double range it is.
+        assert rec["error"].startswith("2F1(300.0, 300.0; 1.0; 0.99) is past the largest double")
+        assert "log|value| = 3168.08" in rec["error"]
 
     def test_half_one_at_huge_negative_x(self):
         # 2F1(1/2, 1; 4; -1e300) = 3.2e-150, with s = sqrt(1 - x) = 1e150:

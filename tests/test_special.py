@@ -580,6 +580,25 @@ class TestLargeK:
         assert ae.Phi_k == pytest.approx(
             (200 - 3.0 + 1.5) * phi - math.pi / 2 * (3.0 - 1.5), rel=1e-14)
 
+    def test_log_magnitude_past_double_range(self):
+        # The approximant overflows at k = 2,000; its log, assembled here
+        # term by term from the leading-order profile, does not, and it
+        # is within the O(1/k) correction of the ladder's log|G_k|.
+        k, c, x = 2000, 2.5, 0.49
+        ae = hyp2f1_large_k(k, c, x)
+        assert ae.approx == math.inf
+        want = ((c - 1.5) * math.log(2.0) + math.lgamma(c) - 0.5 * math.log(math.pi)
+                - (c / 2.0 - 0.25) * math.log(x) + (0.5 - c) * math.log(k)
+                + (-k + c - 1.5) * math.log(1.0 - math.sqrt(x)))
+        assert ae.log_abs == pytest.approx(want, rel=1e-14)
+        assert ae.log_abs == pytest.approx(2392.7, abs=0.05)
+        assert ae.log_abs == pytest.approx(hyp2f1_ladder(c, x, k)[0][k], abs=1e-3)
+
+    def test_log_magnitude_at_negative_x(self):
+        ae = hyp2f1_large_k(200, 3.0, -0.5)
+        assert 0.0 < abs(ae.approx) < math.inf
+        assert ae.log_abs == pytest.approx(math.log(abs(ae.approx)), rel=1e-14)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             hyp2f1_large_k(0, 2.0, 0.5)

@@ -13,7 +13,18 @@ import mpmath as mp
 import pytest
 
 from hypersum.errors import DomainError, NotConvergent, SlowConvergence
-from hypersum.special import _CHUNKED_FROM, _LOOP_COEFFS, Method, _ladder_upto, hyp2f1_half_one
+from hypersum import sums
+from hypersum.special import (
+    _CHUNKED_FROM,
+    _LADDER_MAX_BLOCK,
+    _LOOP_COEFFS,
+    _PLANNED_FROM,
+    Method,
+    _ladder,
+    _ladder_upto,
+    _large_k_profile,
+    hyp2f1_half_one,
+)
 from hypersum.sums import (
     ClosedFormArgument,
     Reason,
@@ -25,7 +36,11 @@ from hypersum.sums import (
     sum_closed,
     sum_direct,
     sum_special,
+    _error_floor,
+    _expected_terms,
     _ladder_sum,
+    _READ_LIST,
+    _TAIL_BLOCK,
     _TAIL_FROM,
 )
 
@@ -675,3 +690,148 @@ class TestLadderSum:
         cl = letac_sum(z, c, x)
         assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
         self._check(c, x, math.log(z), 1, 1e-14, 10**5)
+
+
+def _long_direct(x, c, terms, tol=1e-14):
+    """eta at which the large-k profile puts sum_direct's stop near
+    ``terms``: |G_K| w^K = tol at K = terms, w = (1-x)/(1+eta)."""
+    a, beta, b = _large_k_profile(c, x)
+    d = (math.log(tol) - a - beta * math.log(terms)) / terms
+    return (1.0 - x) * math.exp(b - d) - 1.0
+
+
+def _long_letac(x, c, terms, tol=1e-14):
+    """z at which the profile puts the variant sum's stop near ``terms``:
+    |G_K| z^(K+1) = tol at K = terms."""
+    a, beta, b = _large_k_profile(c, x)
+    d = (math.log(tol) - a + b - beta * math.log(terms)) / (terms + 1)
+    return math.exp(d - b)
+
+
+def _long_grid(seed):
+    """Seeded direct sums planned to run 300 to 20,000 terms: sum_direct at
+    x of both signs and at x = 0, and letac_sum's direct route. Each item
+    is (route args, c, x, lw, shift, log scale of the error floor)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 24:
+        x = 0.0 if len(out) == 0 else rng.uniform(-0.95, 0.95)
+        c = rng.uniform(0.6, 4.0)
+        terms = math.exp(rng.uniform(math.log(300), math.log(20_000)))
+        eta = _long_direct(x, c, terms)
+        if x < 0.0 and x + eta < 0.0:
+            # X < 0: the closed route answers only for c in {1, 2, 3}.
+            c = rng.choice((1.0, 2.0, 3.0))
+            eta = _long_direct(x, c, terms)
+        p = SumParams(eta, c, x)
+        if not (convergence_check(p).convergent and not convergence_check(p).on_boundary):
+            continue
+        l1x, l1e = math.log1p(-x), math.log1p(eta)
+        out.append((p, c, x, l1x - l1e, 0, abs(l1x) + l1e))
+    while len(out) < 36:
+        x, c = rng.uniform(0.01, 0.8), rng.uniform(0.6, 5.0)
+        z = _long_letac(x, c, math.exp(rng.uniform(math.log(300), math.log(20_000))))
+        out.append(((z, c, x), c, x, math.log(z), 1, abs(math.log(z))))
+    return out
+
+
+class TestPlannedLadder:
+    """The direct sums' block plan: _expected_terms from the large-k
+    profile, passed to special._ladder as ``expect``."""
+
+    def test_planned_and_unplanned_reads_agree(self):
+        long_ones = 0
+        for args, c, x, lw, shift, log_scale in _long_grid(21):
+            expect = _expected_terms(c, x, lw, shift, 1e-14)
+            assert expect is not None and expect > _PLANNED_FROM + 16, args
+            got = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1, None, expect)
+            ref = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1)
+            assert got[3:5] == ref[3:5] and ref[4], args
+            assert abs(got[0] - ref[0]) <= _error_floor(ref[1], ref[5], log_scale), args
+            if shift:
+                d, cl = letac_sum(*args, method="direct"), letac_sum(*args)
+            else:
+                d, cl = sum_direct(args), sum_closed(args)
+            assert d.terms_used == got[3], args
+            assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate, args
+            long_ones += 300 <= got[3] <= 20_000
+        assert long_ones >= 30
+
+    def test_prediction_on_interior_and_pocket_sums(self):
+        # The sum-grid's interior and pocket draws; a sum of 300 terms or
+        # more without a prediction counts as a miss.
+        rng = random.Random(7)
+        ratios = []
+        for i in range(2000):
+            u = [rng.random() for _ in range(3)]
+            c = 0.55 + 5.4 * u[1]
+            if i % 2:
+                p = SumParams(1.0 + 2.5 * u[0], c, -0.98 + 1.93 * u[2])
+            else:
+                eta = 0.15 + 0.8 * u[0]
+                p = SumParams(eta, c, -0.9 * eta + (0.95 * eta * eta + 0.9 * eta) * u[2])
+            used = sum_direct(p).terms_used
+            if used >= 300:
+                lw = math.log1p(-p.x) - math.log1p(p.eta)
+                expect = _expected_terms(p.c, p.x, lw, 0, 1e-14)
+                ratios.append(expect / used if expect is not None else math.inf)
+        assert len(ratios) >= 80
+        assert sum(0.9 <= r <= 1.3 for r in ratios) >= 0.95 * len(ratios)
+
+    def test_both_direct_routes_pass_the_plan(self, monkeypatch):
+        seen = []
+
+        def spy(c, x, n=None, width=None, expect=None):
+            seen.append(expect)
+            return _ladder(c, x, n, width, expect)
+
+        monkeypatch.setattr(sums, "_ladder", spy)
+        (p, *_), (z_args, *_) = _long_grid(3)[1], _long_grid(3)[-1]
+        sum_direct(p)
+        letac_sum(*z_args, method="direct")
+        assert len(seen) == 2 and all(e is not None and e > _PLANNED_FROM for e in seen)
+
+    def test_planned_blocks(self):
+        # Seeds, then one chunked block that reaches expect; past it the
+        # blocks go on from _CHUNKED_FROM, doubling.
+        c, x = 2.5, 0.3
+        k0 = max(4, math.ceil(c + 1.5) + 1) + 2
+        for expect in (k0 + _PLANNED_FROM + 1, 3000, 40_000):
+            blocks = _ladder(c, x, None, _READ_LIST, expect)
+            seeds, _ = next(blocks)
+            assert type(seeds) is list and len(seeds) == k0
+            k = k0
+            while k < expect:
+                frac, _ = next(blocks)
+                assert type(frac) is not list
+                assert expect - k <= _LADDER_MAX_BLOCK or len(frac) >= _LADDER_MAX_BLOCK
+                k += len(frac)
+            assert k - expect < _LADDER_MAX_BLOCK
+            assert len(next(blocks)[0]) >= _CHUNKED_FROM
+        # Too close to the seeds: the loop phase's lists, as without a plan.
+        blocks = _ladder(c, x, None, _READ_LIST, k0 + _PLANNED_FROM)
+        next(blocks)
+        assert type(next(blocks)[0]) is list
+
+    def test_capped_sum_reads_its_tail_mark(self, monkeypatch):
+        # A fitted-tail sum at caps of 10,000 terms or more: the planned
+        # ladder still hands the reader the term _TAIL_BLOCK before the cap.
+        seen = []
+
+        def spy(c, x, lw, shift, tol, n, mark=None, expect=None):
+            got = _ladder_sum(c, x, lw, shift, tol, n, mark, expect)
+            seen.append((expect, got, _ladder_sum(c, x, lw, shift, tol, n, mark)))
+            return got
+
+        monkeypatch.setattr(sums, "_ladder_sum", spy)
+        p = SumParams(*CAPPED_BOUNDARY[0])
+        for cap in (_TAIL_FROM, 12_345):
+            r = sum_direct(p, max_terms=cap)
+            assert r.terms_used == cap + 1
+            expect, got, ref = seen[-1]
+            assert expect is not None and expect > cap
+            assert got[4] is False and got[6] is not None
+            assert got[6] == pytest.approx(ref[6], rel=1e-9)
+            lw = math.log1p(-p.x) - math.log1p(p.eta)
+            mark = cap - _TAIL_BLOCK
+            assert abs(got[6]) == pytest.approx(_terms(p.c, p.x, lw, mark + 1)[mark], rel=1e-9)
