@@ -724,7 +724,8 @@ def _long_grid(seed):
             c = rng.choice((1.0, 2.0, 3.0))
             eta = _long_direct(x, c, terms)
         p = SumParams(eta, c, x)
-        if not (convergence_check(p).convergent and not convergence_check(p).on_boundary):
+        verdict = convergence_check(p)
+        if not verdict.convergent or verdict.on_boundary:
             continue
         l1x, l1e = math.log1p(-x), math.log1p(eta)
         out.append((p, c, x, l1x - l1e, 0, abs(l1x) + l1e))
@@ -786,7 +787,8 @@ class TestPlannedLadder:
             return _ladder(c, x, n, width, expect)
 
         monkeypatch.setattr(sums, "_ladder", spy)
-        (p, *_), (z_args, *_) = _long_grid(3)[1], _long_grid(3)[-1]
+        grid = _long_grid(3)
+        (p, *_), (z_args, *_) = grid[1], grid[-1]
         sum_direct(p)
         letac_sum(*z_args, method="direct")
         assert len(seen) == 2 and all(e is not None and e > _PLANNED_FROM for e in seen)
