@@ -7,15 +7,12 @@ loads neither.
 """
 
 from .branching import (
-    DualRoot,
     GeneralProgenyLaw,
     ProgenyHalfLaw,
     ScaledSibuya,
     dual_offspring_pmf,
-    dual_pgf,
     extinction_prob,
     functional_equation_residual,
-    general_progeny_log_pmf,
     general_progeny_pmf,
     general_progeny_pmf_range,
     h_alpha_pgf,
@@ -27,7 +24,6 @@ from .branching import (
     progeny_pmf_series_coeffs,
     sibuya_pgf,
     sibuya_pmf,
-    solve_dual_root,
 )
 from .errors import (
     DomainError,

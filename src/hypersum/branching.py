@@ -24,11 +24,9 @@ __all__ = [
     "ScaledSibuya",
     "ProgenyHalfLaw",
     "GeneralProgenyLaw",
-    "DualRoot",
     "sibuya_pmf",
     "sibuya_pgf",
     "extinction_prob",
-    "dual_pgf",
     "dual_offspring_pmf",
     "progeny_pmf",
     "progeny_pmf_range",
@@ -37,9 +35,7 @@ __all__ = [
     "progeny_pmf_bessel_oracle",
     "progeny_pmf_series_coeffs",
     "general_progeny_pmf",
-    "general_progeny_log_pmf",
     "general_progeny_pmf_range",
-    "solve_dual_root",
     "h_alpha_pgf",
     "functional_equation_residual",
 ]
@@ -90,12 +86,6 @@ def extinction_prob(d):
     if d.alpha == 1.0 or d.lam == 1.0:
         raise DomainError("extinction dual needs alpha < 1 and lam < 1")
     return 1.0 - d.lam ** (1.0 / (1.0 - d.alpha))
-
-
-def dual_pgf(d, u):
-    """Offspring pgf conditioned on eventual extinction: pgf(q*u)/q."""
-    q = extinction_prob(d)
-    return sibuya_pgf(d, q * u) / q
 
 
 def dual_offspring_pmf(d, k):
@@ -289,19 +279,16 @@ class GeneralProgenyLaw:
             raise DomainError("require 0 < x < 1")
 
 
-def general_progeny_log_pmf(law, ell):
+def general_progeny_pmf(law, ell):
+    """q_ell from the point query special._ladder_value, formed in log space."""
     ell = _whole(ell, 1, "ell")
     frac, exp = _ladder_value(law.c, law.x, ell - 1)
     if frac < 0.0:
         raise DomainError("negative mass at ell = %d (invalid parameters)" % ell)
     lg = math.log(frac) + exp * _LN2 if frac else -math.inf
     rx = math.sqrt(law.x)
-    return (math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
-            + (ell - 1) * math.log1p(-rx) + lg)
-
-
-def general_progeny_pmf(law, ell):
-    return math.exp(general_progeny_log_pmf(law, ell))
+    return math.exp(math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
+                    + (ell - 1) * math.log1p(-rx) + lg)
 
 
 def general_progeny_pmf_range(law, lmax):
@@ -318,39 +305,17 @@ def general_progeny_pmf_range(law, lmax):
     return out
 
 
-@dataclass(frozen=True)
-class DualRoot:
-    """Root t_s0 of t^(alpha/(1-alpha)) (t-1) = v on (1, 1+v]."""
-
-    v: float
-    alpha: float
-    t_s0: float
-
-    def __post_init__(self):
-        t = self.t_s0
-        resid = abs(t ** (self.alpha / (1.0 - self.alpha)) * (t - 1.0) - self.v)
-        if resid > 1e-12 * max(1.0, self.v):
-            raise RootFindFailure("root residual %.3g" % resid)
-
-
-def solve_dual_root(v, alpha):
-    """Solve t^(alpha/(1-alpha)) (t-1) = v for the unique root above 1.
-
-    Newton on the log form g(t) = (alpha/(1-alpha)) log t + log(t-1) - log v,
-    which is strictly increasing, with bisection whenever a step leaves the
-    bracket. g(1+) = -inf and g(1+v) >= 0 pin the root in (1, 1+v].
-    """
-    if not 0.0 < v < math.inf:
-        raise DomainError("require finite v > 0")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("require 0 < alpha < 1")
-    return DualRoot(v=v, alpha=alpha, t_s0=_dual_root(v, math.log(v), alpha))
-
-
 def _dual_root(v, lv, alpha):
-    """solve_dual_root's root from v and lv = log v. For v = inf (past double
-    range) the bracket is (1, max(2, (2v)^(1/(r+1)))], as t >= 2 has
-    t - 1 >= t/2; OverflowError when it passes double range."""
+    """The unique root t > 1 of t^r (t - 1) = v, r = alpha/(1-alpha), from
+    v > 0 and lv = log v, for 0 < alpha < 1.
+
+    Newton on the log form g(t) = r log t + log(t - 1) - lv, which is
+    strictly increasing, with bisection whenever a step leaves the bracket.
+    g(1+) = -inf and g(1+v) >= 0 pin the root in (1, 1+v]. For v = inf
+    (v past double range, lv finite) the bracket is
+    (1, max(2, (2v)^(1/(r+1)))], as t >= 2 has t - 1 >= t/2; OverflowError
+    when that bound passes double range, RootFindFailure after 200 steps.
+    """
     r = alpha / (1.0 - alpha)
 
     def g(t):
@@ -387,7 +352,8 @@ def h_alpha_pgf(d, z):
     """Progeny generating function for general alpha via the dual root:
 
     H(z) = (1 - (lam z t)^(1/(1-alpha))) / (1 - lam^(1/(1-alpha))),
-    t = solve_dual_root((1-z)/(lam z)^(1/(1-alpha)), alpha).
+    t the root above 1 of t^(alpha/(1-alpha)) (t - 1) = v,
+    v = (1-z)/(lam z)^(1/(1-alpha)) (_dual_root).
 
     v is formed from logs, so it may pass double range while t stays finite.
     At the root (lam z t)^(1/(1-alpha)) = (1-z) t/(t-1), and below z = 0.999

@@ -107,13 +107,13 @@ class HypParams:
 
 @dataclass(frozen=True)
 class AsymptoticEval:
-    """Leading-order large-k approximant and its phase bookkeeping."""
+    """Leading-order large-k approximant of G_k at (k, c, x): ``approx``,
+    its log magnitude ``log_abs`` (finite where ``approx`` leaves double
+    range) and ``Phi_k``, the phase of the oscillation at x < 0."""
 
     k: int
     c: float
     x: float
-    w: float
-    phi: float
     Phi_k: float
     approx: float
     log_abs: float
@@ -299,11 +299,16 @@ def _large_k_profile(c, x):
     """(a, beta, b) with log|G_k| ~ a + beta log k + b k to leading order
     as k grows: the magnitude of hyp2f1_large_k's approximant for
     0 < x < 1, its envelope (without sin Phi_k) for x < 0, and G_k = 1 at
-    x = 0. No validation: callers check c > 0 and x < 1."""
+    x = 0. The one home of this profile: hyp2f1_large_k reads it, the
+    direct sums (sums.sum_direct, sums.letac_sum) take their block plan,
+    term ratio e^(b + log w) and fitted tail from it, and the corollary1
+    suite its tail amplitude. log(1 - sqrt x) is formed as
+    log(1 - x) - log(1 + sqrt x), which does not cancel next to x = 1.
+    No validation: callers check c > 0 and x < 1."""
     if x == 0.0:
         return 0.0, 0.0, 0.0
     if x > 0.0:
-        lr = math.log(1.0 - math.sqrt(x))
+        lr = math.log1p(-x) - math.log1p(math.sqrt(x))
         a = ((c - 1.5) * _LN2 + math.lgamma(c) - 0.5 * math.log(math.pi)
              - (c / 2.0 - 0.25) * math.log(x) + (c - 1.5) * lr)
         return a, 0.5 - c, -lr
@@ -319,18 +324,17 @@ def hyp2f1_large_k(k, c, x):
     For 0 < x < 1 the approximant is a pure power/exponential profile; for
     x < 0 it oscillates with phase Phi(k) = (k-c+3/2)*arctan(sqrt(|x|)) -
     (pi/2)(c-3/2). All gamma and power factors are assembled in log space
-    (_large_k_profile, which also plans the direct sums' ladder blocks) and
-    the sign is restored at the end. ``log_abs`` is log|approx|, finite
-    where ``approx`` leaves double range (about k = 1,000 at typical x).
-    Leading order only; the first neglected correction is O(1/k).
+    (_large_k_profile) and the sign is restored at the end. ``log_abs`` is
+    log|approx|, finite where ``approx`` leaves double range (about
+    k = 1,000 at typical x). Leading order only; the first neglected
+    correction is O(1/k).
     """
     k = _whole(k, 1, "k")
     if not 0 < c < math.inf:
         raise DomainError("require finite c > 0")
     if not (-math.inf < x < 1.0 and x != 0.0):
         raise DomainError("require x in (0,1) or finite x < 0")
-    w = abs(x)
-    phi = math.atan(math.sqrt(w))
+    phi = math.atan(math.sqrt(abs(x)))
     Phi_k = (k - c + 1.5) * phi - (math.pi / 2.0) * (c - 1.5)
     a, beta, b = _large_k_profile(c, x)
     lg = a + beta * math.log(k) + b * k
@@ -340,8 +344,7 @@ def hyp2f1_large_k(k, c, x):
     except OverflowError:
         approx = math.copysign(math.inf, s)
     log_abs = lg + math.log(abs(s)) if s else -math.inf
-    return AsymptoticEval(k=k, c=c, x=x, w=w, phi=phi, Phi_k=Phi_k, approx=approx,
-                          log_abs=log_abs)
+    return AsymptoticEval(k=k, c=c, x=x, Phi_k=Phi_k, approx=approx, log_abs=log_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +355,9 @@ def hyp2f1_large_k(k, c, x):
 _SEED_BLOCK_SIZE = 8192
 _SEED_TOL = 1e-17
 _SEED_MAX_TERMS = 200_000
+# The ladder seeds about c + 4.5 columns (_ladder), and refuses a c that
+# would need more than this many: c up to about 1.3e5.
+_LADDER_MAX_COLUMNS = 1 << 17
 
 
 def _seed_width(p, z, tol):
@@ -739,14 +745,18 @@ def _ladder(c, x, n=None, width=None, expect=None):
     Each chain is a float times 2^e with e an integer: a power of two
     moves from the value into e whenever the loop's newest value leaves
     [_TINY, _HUGE], and at each chunk start, so no k can overflow and the
-    exponent never drifts. No validation: callers check c > 0 and
-    -1 <= x < 1.
+    exponent never drifts. A c whose seeds would take more than
+    _LADDER_MAX_COLUMNS columns raises NonConvergent before anything is
+    allocated. No validation: callers check c > 0 and -1 <= x < 1.
     """
     import numpy as np
 
     # Seed depth: keeps every middle index strictly above the lone
     # coefficient pole at k = c - 1/2.
     m = max(4, math.ceil(c + 1.5) + 1)
+    if m + 2 > _LADDER_MAX_COLUMNS:
+        raise NonConvergent("the ladder at c = %g needs %.3g seed columns, past its bound of %d"
+                            % (c, m + 2, _LADDER_MAX_COLUMNS))
     seeds = _ladder_seeds(c, x, m + 2)
     yield (seeds, (0, 0)) if width else np.frexp(np.array(seeds))
     # Newest value, the one before and exponent of the chain of k = m+2,

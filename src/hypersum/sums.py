@@ -133,15 +133,6 @@ def convergence_check(p):
     return ConvergenceVerdict(False, False, divergent_reason)
 
 
-def _term_decay_ratio(p):
-    """Asymptotic bound on the term ratio of the direct sum."""
-    if p.x > 0.0:
-        return (1.0 + math.sqrt(p.x)) / (1.0 + p.eta)
-    if p.x < 0.0:
-        return math.sqrt(1.0 + abs(p.x)) / (1.0 + p.eta)
-    return 1.0 / (1.0 + p.eta)
-
-
 # The direct sums read the ladder's loop phase in lists of this many values.
 _READ_LIST = 32
 # Drift of the ladder, in eps per step: the relative error of G_k grows
@@ -172,19 +163,19 @@ def _far_term(v, lt):
         return math.copysign(math.inf, f)
 
 
-def _expected_terms(c, x, lw, shift, tol):
+def _expected_terms(profile, lw, shift, tol):
     """How many terms a direct sum of t_k = G_k exp((k + shift) lw) is
     expected to read before it stops, or None where the profile's terms do
     not fall (or tol is 0).
 
-    The profile is special._large_k_profile's: |G_k| at x > 0, its envelope
-    at x < 0 and 1 at x = 0. The first k at which it puts |t_k| under tol,
-    plus the two more small terms of the stop rule, makes the count. On a
-    seeded sum-grid the count is exact or one short for nearly every sum
-    of 300 terms or more at x > 0; at x < 0 a zero of G_k can stop a sum
-    a few percent early.
+    ``profile`` is special._large_k_profile(c, x): |G_k| at x > 0, its
+    envelope at x < 0 and 1 at x = 0. The first k at which it puts |t_k|
+    under tol, plus the two more small terms of the stop rule, makes the
+    count. On a seeded sum-grid the count is exact or one short for nearly
+    every sum of 300 terms or more at x > 0; at x < 0 a zero of G_k can
+    stop a sum a few percent early.
     """
-    a, beta, b = _large_k_profile(c, x)
+    a, beta, b = profile
     d = b + lw
     if not (d < 0.0 and tol > 0.0):
         return None
@@ -328,13 +319,14 @@ _TAIL_BLOCK = 2048
 _TAIL_MAX_TERMS = 1 << 22
 
 
-def _fitted_tail(p, K, t_K, t_J):
+def _fitted_tail(beta, lr, K, t_K, t_J):
     """(tail, its estimate, sum k|t| over it) of a convergent direct sum
     with 0 < x < 1 cut after index K, or None where the fit does not apply.
 
     For 0 < x < 1 the terms follow the large-k profile
-    t_k ~ C k^beta r^k e^(d/k), beta = 1/2 - c, r = _term_decay_ratio(p).
-    d comes from log t_k - beta log k - k log r = a + d/k at k = K and at
+    t_k ~ C k^beta r^k e^(d/k), beta = 1/2 - c and log r = lr = b + log w,
+    beta and b from special._large_k_profile. d comes from
+    log t_k - beta log k - k log r = a + d/k at k = K and at
     J = K - _TAIL_BLOCK; then
     tail = t_K sum_{j>=1} r^j (1 + j/K)^beta e^(d (1/(K+j) - 1/K)),
     summed in blocks until its terms fall under 1e-17 of it, and its
@@ -345,8 +337,6 @@ def _fitted_tail(p, K, t_K, t_J):
     J = K - _TAIL_BLOCK
     if t_J is None or not (math.isfinite(t_K) and math.isfinite(t_J)) or t_K * t_J <= 0.0:
         return None
-    beta = 0.5 - p.c
-    lr = math.log1p(math.sqrt(p.x)) - math.log1p(p.eta)
     if lr * _TAIL_MAX_TERMS > -50.0:
         # r^j would not fall far enough within _TAIL_MAX_TERMS terms.
         return None
@@ -444,8 +434,11 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
            and max_terms >= _TAIL_FROM)
     mark = max_terms - _TAIL_BLOCK if fit else None
     lw = l1x - l1e
+    profile = _large_k_profile(p.c, p.x)
+    # Log of the terms' ratio at large k.
+    lr = profile[2] + lw
     s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(
-        p.c, p.x, lw, 0, tol, max_terms + 1, mark, _expected_terms(p.c, p.x, lw, 0, tol))
+        p.c, p.x, lw, 0, tol, max_terms + 1, mark, _expected_terms(profile, lw, 0, tol))
     log_scale = abs(l1x) + l1e
     floor = _error_floor(sum_abs, mom, log_scale)
     if not stopped:
@@ -456,7 +449,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             tail = last * max_terms / (p.c - 1.5)
             return EvalResult(value=s, abs_error_estimate=tail + floor,
                               terms_used=max_terms + 1, method=Method.Series)
-        tail = _fitted_tail(p, max_terms, t, t_mark) if fit else None
+        tail = _fitted_tail(profile[1], lr, max_terms, t, t_mark) if fit else None
         if tail is not None:
             tail, est, tail_mom = tail
             floor = _error_floor(sum_abs + abs(tail), mom + tail_mom, log_scale)
@@ -467,8 +460,8 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
                               terms_used=max_terms + 1, method=Method.Series)
         raise SlowConvergence(
             "direct sum did not settle in %d terms (term ratio ~ %.6f)"
-            % (max_terms, _term_decay_ratio(p)))
-    rho = min(_term_decay_ratio(p), 0.999999)
+            % (max_terms, math.exp(lr)))
+    rho = min(math.exp(lr), 0.999999)
     est = abs(t) * rho / (1.0 - rho) + floor
     return EvalResult(value=s, abs_error_estimate=est,
                       terms_used=used, method=Method.Series)
@@ -671,11 +664,13 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise ValueError("method must be 'direct' or 'closed'")
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
+    profile = _large_k_profile(c, x)
     s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms, None,
-                                                       _expected_terms(c, x, lz, 1, tol))
+                                                       _expected_terms(profile, lz, 1, tol))
     if not stopped:
         raise SlowConvergence("variant sum did not settle in %d terms" % max_terms)
-    rho = min(z / (1.0 - math.sqrt(x)), 0.999999)
+    # z/(1 - sqrt x), the terms' ratio at large k.
+    rho = min(math.exp(profile[2] + lz), 0.999999)
     est = abs(t) * rho / (1.0 - rho) + _error_floor(sum_abs, mom, abs(lz))
     return EvalResult(value=s, abs_error_estimate=est,
                       terms_used=used, method=Method.Series)

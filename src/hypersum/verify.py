@@ -23,7 +23,14 @@ from .branching import (
     progeny_pmf_series_coeffs,
 )
 from .simulate import SimConfig, chi_square_threshold, gof_compare, simulate_total_progeny
-from .special import HypParams, hyp2f1_half_one, hyp2f1_large_k, hyp2f1_ladder, hyp2f1_series
+from .special import (
+    HypParams,
+    _large_k_profile,
+    hyp2f1_half_one,
+    hyp2f1_large_k,
+    hyp2f1_ladder,
+    hyp2f1_series,
+)
 from .sums import SumParams, convergence_check, normalization_identity, sum_closed, sum_direct, sum_special
 
 __all__ = ["SUITES", "run_suite"]
@@ -174,18 +181,19 @@ def _general_tail_estimate(law, q):
     """Sum of q_ell beyond the head q = [q_1, ..., q_n] (n >= 4000) from
     the power-law tail, as a Python float.
 
-    q_ell approaches A ell^(1/2-c); three 1/ell correction coefficients are
-    fitted from the head's values at moderate ell, and the tail is summed
-    in closed form with Hurwitz zetas. Good to ~1e-11 absolute at n = 1e4.
+    q_ell approaches A ell^(1/2-c), log A being the law's prefactor plus
+    the amplitude a of special._large_k_profile, a closed formula in (c, x)
+    that the asymptotics suite checks against the ladder. Three 1/ell
+    correction coefficients are fitted from the head's values at moderate
+    ell, and the tail is summed in closed form with Hurwitz zetas. Good to
+    ~1e-11 absolute at n = 1e4.
     """
     import numpy as np
     from scipy.special import zeta
 
     c, x = law.c, law.x
-    rx = math.sqrt(x)
     logA = (math.log((c - 1.5) / (c - 1.0)) + 0.5 * math.log(x)
-            + (c - 1.5) * math.log(2.0) + math.lgamma(c) - 0.5 * math.log(math.pi)
-            - (c / 2.0 - 0.25) * math.log(x) + (c - 1.5) * math.log1p(-rx))
+            + _large_k_profile(c, x)[0])
     pts = [1500, 2500, 4000]
     delta = []
     for ell in pts:

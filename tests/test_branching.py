@@ -10,15 +10,12 @@ import math
 import pytest
 
 from hypersum.branching import (
-    DualRoot,
     GeneralProgenyLaw,
     ProgenyHalfLaw,
     ScaledSibuya,
     dual_offspring_pmf,
-    dual_pgf,
     extinction_prob,
     functional_equation_residual,
-    general_progeny_log_pmf,
     general_progeny_pmf,
     general_progeny_pmf_range,
     h_alpha_pgf,
@@ -30,9 +27,9 @@ from hypersum.branching import (
     progeny_pmf_series_coeffs,
     sibuya_pgf,
     sibuya_pmf,
-    solve_dual_root,
+    _dual_root,
 )
-from hypersum.errors import DomainError, NonConvergent, RootFindFailure
+from hypersum.errors import DomainError, NonConvergent
 from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK
 
 from conftest import ladder_block_edges
@@ -128,11 +125,6 @@ class TestDualOffspring:
         d = ScaledSibuya(0.5, 0.6)
         assert dual_offspring_pmf(d, 0) == pytest.approx(0.625, rel=1e-15)
         assert dual_offspring_pmf(d, 1) == pytest.approx(0.3, rel=1e-15)
-
-    def test_pgf_endpoints(self):
-        d = ScaledSibuya(0.5, 0.6)
-        assert dual_pgf(d, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert dual_pgf(d, 0.0) == pytest.approx(0.625, rel=1e-15)
 
     def test_sums_to_one(self):
         for alpha, lam in ((0.5, 0.6), (0.3, 0.8)):
@@ -378,12 +370,6 @@ class TestGeneralProgenyLaw:
         assert general_progeny_pmf(law, 7) == pytest.approx(
             0.012759031367243320982, rel=1e-12)
 
-    def test_log_and_linear_agree(self):
-        law = GeneralProgenyLaw(3.2, 0.3)
-        for ell in (1, 4, 90, 400):
-            lp = general_progeny_log_pmf(law, ell)
-            assert math.exp(lp) == pytest.approx(general_progeny_pmf(law, ell), rel=1e-13)
-
     def test_range_matches_scalar(self):
         law = GeneralProgenyLaw(1.75, 0.49)
         rng = general_progeny_pmf_range(law, 1000)
@@ -447,33 +433,20 @@ class TestTiltedIdentity:
 class TestDualRoot:
     def test_exact_quadratic_case(self):
         # alpha = 1/2 gives t(t-1) = v; at v = 2 the root is exactly 2.
-        assert solve_dual_root(2.0, 0.5).t_s0 == pytest.approx(2.0, rel=1e-14)
+        assert _dual_root(2.0, math.log(2.0), 0.5) == pytest.approx(2.0, rel=1e-14)
 
     def test_reference_value(self):
         # v = 3.7, alpha = 0.35, mpmath findroot at 40 digits
-        assert solve_dual_root(3.7, 0.35).t_s0 == pytest.approx(
+        assert _dual_root(3.7, math.log(3.7), 0.35) == pytest.approx(
             3.0350461252893574352, rel=1e-13)
 
     def test_residual_across_scales(self):
         for v in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             for alpha in (0.05, 0.5, 0.95):
-                root = solve_dual_root(v, alpha)
-                t = root.t_s0
+                t = _dual_root(v, math.log(v), alpha)
                 assert 1.0 < t <= 1.0 + v
                 r = alpha / (1.0 - alpha)
                 assert t ** r * (t - 1.0) == pytest.approx(v, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            solve_dual_root(0.0, 0.5)
-        with pytest.raises(DomainError):
-            solve_dual_root(-1.0, 0.5)
-        with pytest.raises(DomainError):
-            solve_dual_root(2.0, 1.0)
-
-    def test_container_rejects_non_root(self):
-        with pytest.raises(RootFindFailure):
-            DualRoot(v=2.0, alpha=0.5, t_s0=2.5)
 
 
 class TestHAlphaPgf:

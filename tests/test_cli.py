@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -143,6 +144,13 @@ class TestSumCommand:
         assert proc.returncode == 3
         assert json_lines(proc)[0]["status"] == "SlowConvergence"
 
+    @pytest.mark.parametrize("c", ["1e10", "1e300"])
+    def test_huge_c_exits_3(self, c):
+        proc = run_cli("sum", "--eta", "2", "--c", c, "--x", "0.5", "--method", "direct")
+        assert proc.returncode == 3
+        assert json_lines(proc)[0]["status"] == "NonConvergent"
+        assert "seed columns" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bad_term_cap_env_exits_2(self):
         proc = run_cli("sum", "--eta", "2", "--c", "2.5", "--x", "0.5", "--method", "direct",
                        env_extra={"HYPERSUM_MAX_TERMS": "abc"})
@@ -179,6 +187,13 @@ class TestProgenyCommand:
         assert all(b > a for a, b in zip(sums, sums[1:]))
         assert sums[-1] < 1.0
         assert recs[6]["q"] == pytest.approx(0.012759031367243320982, rel=1e-12)
+
+    @pytest.mark.parametrize("c", ["1e10", "1e300"])
+    def test_general_at_huge_c_exits_3(self, c):
+        proc = run_cli("progeny", "general", "--c", c, "--x", "0.5", "--lmax", "3")
+        assert proc.returncode == 3
+        assert json_lines(proc)[0]["status"] == "NonConvergent"
+        assert "seed columns" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_bad_lambda_exits_2(self):
         proc = run_cli("progeny", "pmf", "--lambda", "1.0", "--lmax", "3")
@@ -305,6 +320,26 @@ def _main(*argv):
 
 
 class TestImportSurface:
+    def test_public_names(self):
+        import hypersum
+
+        names = sorted(n for n, v in vars(hypersum).items()
+                       if not n.startswith("_") and not isinstance(v, types.ModuleType))
+        assert names == [
+            "AsymptoticEval", "ClosedFormArgument", "ConvergenceVerdict", "DomainError",
+            "DualOffspringSampler", "EvalResult", "GeneralProgenyLaw", "GofReport", "HypParams",
+            "HypersumError", "InsufficientData", "Method", "NonConvergent", "NotConvergent",
+            "ProgenyHalfLaw", "QuadratureFailure", "Reason", "RootFindFailure", "ScaledSibuya",
+            "SimConfig", "SimCounts", "SlowConvergence", "SumParams", "chi_square_threshold",
+            "convergence_check", "dual_offspring_pmf", "evaluate", "extinction_prob",
+            "functional_equation_residual", "general_progeny_pmf", "general_progeny_pmf_range",
+            "gof_compare", "h_alpha_pgf", "hyp2f1_half_one", "hyp2f1_ladder", "hyp2f1_large_k",
+            "hyp2f1_series", "letac_sum", "normalization_identity", "progeny_pgf_elementary",
+            "progeny_pgf_hypergeometric", "progeny_pmf", "progeny_pmf_bessel_oracle",
+            "progeny_pmf_range", "progeny_pmf_series_coeffs", "run_suite", "sibuya_pgf",
+            "sibuya_pmf", "simulate_total_progeny", "sum_closed", "sum_direct", "sum_special",
+        ]
+
     @pytest.mark.parametrize("code", ["import hypersum", "import hypersum.cli"],
                              ids=["package", "cli"])
     def test_import_loads_neither_numpy_nor_scipy(self, code):

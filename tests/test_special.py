@@ -10,6 +10,7 @@ import random
 import sys
 from decimal import Decimal as Dec
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -33,6 +34,7 @@ from hypersum.special import (
     _ladder,
     _ladder_seeds,
     _ladder_upto,
+    _large_k_profile,
     _looped_block,
     _series_sum,
 )
@@ -574,9 +576,7 @@ class TestLargeK:
 
     def test_negative_x_fields(self):
         ae = hyp2f1_large_k(200, 3.0, -0.5)
-        assert ae.w == pytest.approx(0.5)
         phi = math.atan(math.sqrt(0.5))
-        assert ae.phi == pytest.approx(phi, rel=1e-15)
         assert ae.Phi_k == pytest.approx(
             (200 - 3.0 + 1.5) * phi - math.pi / 2 * (3.0 - 1.5), rel=1e-14)
 
@@ -593,6 +593,22 @@ class TestLargeK:
         assert ae.log_abs == pytest.approx(want, rel=1e-14)
         assert ae.log_abs == pytest.approx(2392.7, abs=0.05)
         assert ae.log_abs == pytest.approx(hyp2f1_ladder(c, x, k)[0][k], abs=1e-3)
+
+    @pytest.mark.parametrize("x", [0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_profile_next_to_one(self, x):
+        # The rate b = -log(1 - sqrt x) and the amplitude a against 40-digit
+        # mpmath; 1 - sqrt x cancels next to x = 1, and the rate multiplies k.
+        c = 2.5
+        a, beta, b = _large_k_profile(c, x)
+        with mp.workdps(40):
+            xm = mp.mpf(x)
+            lr = mp.log(1 - mp.sqrt(xm))
+            want_a = ((c - 1.5) * mp.log(2) + mp.loggamma(c) - mp.log(mp.pi) / 2
+                      - (c / 2 - 0.25) * mp.log(xm) + (c - 1.5) * lr)
+            want_b = -lr
+        assert beta == 0.5 - c
+        assert b == pytest.approx(float(want_b), rel=1e-14, abs=0)
+        assert a == pytest.approx(float(want_a), rel=1e-14, abs=0)
 
     def test_log_magnitude_at_negative_x(self):
         ae = hyp2f1_large_k(200, 3.0, -0.5)

@@ -743,7 +743,7 @@ class TestPlannedLadder:
     def test_planned_and_unplanned_reads_agree(self):
         long_ones = 0
         for args, c, x, lw, shift, log_scale in _long_grid(21):
-            expect = _expected_terms(c, x, lw, shift, 1e-14)
+            expect = _expected_terms(_large_k_profile(c, x), lw, shift, 1e-14)
             assert expect is not None and expect > _PLANNED_FROM + 16, args
             got = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1, None, expect)
             ref = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1)
@@ -774,7 +774,7 @@ class TestPlannedLadder:
             used = sum_direct(p).terms_used
             if used >= 300:
                 lw = math.log1p(-p.x) - math.log1p(p.eta)
-                expect = _expected_terms(p.c, p.x, lw, 0, 1e-14)
+                expect = _expected_terms(_large_k_profile(p.c, p.x), lw, 0, 1e-14)
                 ratios.append(expect / used if expect is not None else math.inf)
         assert len(ratios) >= 80
         assert sum(0.9 <= r <= 1.3 for r in ratios) >= 0.95 * len(ratios)
@@ -837,3 +837,32 @@ class TestPlannedLadder:
             lw = math.log1p(-p.x) - math.log1p(p.eta)
             mark = cap - _TAIL_BLOCK
             assert abs(got[6]) == pytest.approx(_terms(p.c, p.x, lw, mark + 1)[mark], rel=1e-9)
+
+
+class TestTermRatio:
+    """The direct sums' large-k term ratio e^(b + log w), b being the rate
+    of special._large_k_profile, against its closed forms at 40 digits."""
+
+    @pytest.mark.parametrize("eta,x", [
+        (2.0, 0.5), (0.7, 0.3), (3.0, 1e-12), (1.000001, 1 - 1e-6), (1.001, 1 - 1e-9),
+        (1.001, 1 - 1e-12), (1.5, -0.5), (0.5, -0.99), (0.45, -1.0), (0.3, 0.0), (1e-3, 0.0)])
+    def test_direct_sum(self, eta, x):
+        b = _large_k_profile(2.5, x)[2]
+        got = math.exp(b + math.log1p(-x) - math.log1p(eta))
+        with mp.workdps(40):
+            xm, em = mp.mpf(x), mp.mpf(eta)
+            if x > 0.0:
+                want = (1 + mp.sqrt(xm)) / (1 + em)
+            elif x < 0.0:
+                want = mp.sqrt(1 - xm) / (1 + em)
+            else:
+                want = 1 / (1 + em)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("z,x", [(0.3, 0.25), (0.5, 0.2499), (1e-3, 0.998), (0.9, 1e-3),
+                                     (0.2, 0.63)])
+    def test_variant_sum(self, z, x):
+        got = math.exp(_large_k_profile(2.5, x)[2] + math.log(z))
+        with mp.workdps(40):
+            want = mp.mpf(z) / (1 - mp.sqrt(mp.mpf(x)))
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0)

@@ -1,8 +1,9 @@
-"""Non-finite and underflowing inputs get a typed answer: a DomainError,
-or a value that checks out, never nan, 0.0 from a wrong branch or a bare
-arithmetic exception."""
+"""Non-finite, underflowing and oversized inputs get a typed answer: a
+DomainError or NonConvergent, or a value that checks out, never nan, 0.0
+from a wrong branch or a bare arithmetic exception."""
 
 import math
+import re
 
 import pytest
 
@@ -11,13 +12,19 @@ from hypersum.branching import (
     ProgenyHalfLaw,
     ScaledSibuya,
     functional_equation_residual,
+    general_progeny_pmf_range,
     h_alpha_pgf,
     progeny_pgf_hypergeometric,
     sibuya_pmf,
-    solve_dual_root,
 )
-from hypersum.errors import DomainError
-from hypersum.special import HypParams, hyp2f1_half_one, hyp2f1_series
+from hypersum.errors import DomainError, NonConvergent
+from hypersum.special import (
+    _LADDER_MAX_COLUMNS,
+    HypParams,
+    hyp2f1_half_one,
+    hyp2f1_ladder,
+    hyp2f1_series,
+)
 from hypersum.sums import SumParams, letac_sum, sum_direct
 
 inf = math.inf
@@ -39,7 +46,6 @@ CASES = {
     "GeneralProgenyLaw(inf, 0.5)": (lambda: GeneralProgenyLaw(inf, 0.5), DomainError),
     "progeny_pgf_hypergeometric(-inf)": (
         lambda: progeny_pgf_hypergeometric(ProgenyHalfLaw(0.6), -inf), DomainError),
-    "solve_dual_root(inf, 0.5)": (lambda: solve_dual_root(inf, 0.5), DomainError),
     "sibuya_pmf(inf)": (lambda: sibuya_pmf(ScaledSibuya(0.5, 0.3), inf), DomainError),
     "hyp2f1_half_one(2.5, -inf)": (lambda: hyp2f1_half_one(2.5, -inf), DomainError),
     "h_alpha_pgf(0.5, 0.3; 1e-200)": (lambda: _pgf_checks(0.5, 0.3, 1e-200), None),
@@ -77,3 +83,22 @@ def test_non_finite_or_underflowing_input(call, error):
     else:
         with pytest.raises(error):
             call()
+
+
+# Every ladder reader at a c whose seeds would take about c columns.
+HUGE_C = {
+    "sum_direct": lambda c: sum_direct(SumParams(2.0, c, 0.5)),
+    "letac_sum(direct)": lambda c: letac_sum(0.3, c, 0.25, method="direct"),
+    "hyp2f1_ladder": lambda c: hyp2f1_ladder(c, 0.5, 3),
+    "general_progeny_pmf_range": lambda c: general_progeny_pmf_range(GeneralProgenyLaw(c, 0.5), 3),
+}
+
+
+@pytest.mark.parametrize("c", [1e10, 1e300])
+@pytest.mark.parametrize("read", HUGE_C.values(), ids=HUGE_C.keys())
+def test_ladder_refuses_c_past_its_column_bound(read, c):
+    # At c = 1e10 the seeds alone would take 74.5 GiB, and past about
+    # 1e18 numpy cannot size them: the bound is checked before they are.
+    with pytest.raises(NonConvergent, match=re.escape("c = %g needs" % c)) as info:
+        read(c)
+    assert "bound of %d" % _LADDER_MAX_COLUMNS in str(info.value)
