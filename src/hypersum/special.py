@@ -327,7 +327,8 @@ def hyp2f1_large_k(k, c, x):
     (_large_k_profile) and the sign is restored at the end. ``log_abs`` is
     log|approx|, finite where ``approx`` leaves double range (about
     k = 1,000 at typical x). Leading order only; the first neglected
-    correction is O(1/k).
+    correction is O(1/k). A c past about 2.5e305, where log Gamma(c) leaves
+    double range, raises OverflowError naming c.
     """
     k = _whole(k, 1, "k")
     if not 0 < c < math.inf:
@@ -336,7 +337,11 @@ def hyp2f1_large_k(k, c, x):
         raise DomainError("require x in (0,1) or finite x < 0")
     phi = math.atan(math.sqrt(abs(x)))
     Phi_k = (k - c + 1.5) * phi - (math.pi / 2.0) * (c - 1.5)
-    a, beta, b = _large_k_profile(c, x)
+    try:
+        a, beta, b = _large_k_profile(c, x)
+    except OverflowError:
+        raise OverflowError("the large-k approximant at c = %g: log Gamma(c) is past double range"
+                            % c) from None
     lg = a + beta * math.log(k) + b * k
     s = 1.0 if x > 0.0 else math.sin(Phi_k)
     try:
@@ -706,6 +711,19 @@ def _chunked_block(k0, L, rows, c, x, chains):
     return frac.ravel(), (fe + e.reshape(nc, 1, 2)).ravel()
 
 
+def _seed_depth(c):
+    """The ladder's seed depth m: its seeds take m + 2 columns, so that
+    every middle index sits strictly above the lone coefficient pole at
+    k = c - 1/2. A c that would need more than _LADDER_MAX_COLUMNS columns
+    raises NonConvergent; the direct sums ask before they form the large-k
+    profile, whose log Gamma(c) overflows past c = 2.5e305."""
+    m = max(4, math.ceil(c + 1.5) + 1)
+    if m + 2 > _LADDER_MAX_COLUMNS:
+        raise NonConvergent("the ladder at c = %g needs %.3g seed columns, past its bound of %d"
+                            % (c, m + 2, _LADDER_MAX_COLUMNS))
+    return m
+
+
 def _ladder(c, x, n=None, width=None, expect=None):
     """Yield blocks of G_k for consecutive k, starting at k = 0, up to at
     least k = n-1 (without end for n = None).
@@ -751,12 +769,7 @@ def _ladder(c, x, n=None, width=None, expect=None):
     """
     import numpy as np
 
-    # Seed depth: keeps every middle index strictly above the lone
-    # coefficient pole at k = c - 1/2.
-    m = max(4, math.ceil(c + 1.5) + 1)
-    if m + 2 > _LADDER_MAX_COLUMNS:
-        raise NonConvergent("the ladder at c = %g needs %.3g seed columns, past its bound of %d"
-                            % (c, m + 2, _LADDER_MAX_COLUMNS))
+    m = _seed_depth(c)
     seeds = _ladder_seeds(c, x, m + 2)
     yield (seeds, (0, 0)) if width else np.frexp(np.array(seeds))
     # Newest value, the one before and exponent of the chain of k = m+2,

@@ -33,6 +33,7 @@ from .special import (
     Method,
     _ladder,
     _large_k_profile,
+    _seed_depth,
     _term_cap,
     hyp2f1_half_one,
 )
@@ -434,6 +435,8 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
            and max_terms >= _TAIL_FROM)
     mark = max_terms - _TAIL_BLOCK if fit else None
     lw = l1x - l1e
+    # The ladder's column bound comes before the profile's log Gamma(c).
+    _seed_depth(p.c)
     profile = _large_k_profile(p.c, p.x)
     # Log of the terms' ratio at large k.
     lr = profile[2] + lw
@@ -664,6 +667,7 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
         raise ValueError("method must be 'direct' or 'closed'")
     # The term of index k is the ladder value at k - 1 times z^k.
     lz = math.log(z)
+    _seed_depth(c)  # the column bound before log Gamma(c), as in sum_direct
     profile = _large_k_profile(c, x)
     s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms, None,
                                                        _expected_terms(profile, lz, 1, tol))

@@ -6,9 +6,13 @@ against each other and against mpmath-frozen constants (40 digits).
 """
 
 import math
+import random
+import re
+import sys
 
 import pytest
 
+from hypersum import branching
 from hypersum.branching import (
     GeneralProgenyLaw,
     ProgenyHalfLaw,
@@ -30,7 +34,7 @@ from hypersum.branching import (
     _dual_root,
 )
 from hypersum.errors import DomainError, NonConvergent
-from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK
+from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK, _LN2, _ladder_upto
 
 from conftest import ladder_block_edges
 
@@ -42,6 +46,26 @@ def _chunked_edge_ells(c):
     first = edges.index(next(e for e, f in zip(edges, edges[1:]) if f - e >= _CHUNKED_FROM))
     cap = edges.index(next(e for e, f in zip(edges, edges[1:]) if f - e == _LADDER_MAX_BLOCK))
     return [k + 1 + d for k in (edges[first], edges[cap], edges[cap + 1]) for d in (-1, 0, 1)]
+
+
+def _unstopped_range(law, lmax):
+    """(log p_ell, p_ell) as arrays for ell = 1..lmax: every block of
+    _ladder_upto weighted as progeny_pmf_range weights it, with no stop."""
+    import numpy as np
+
+    llam2 = 2.0 * math.log(law.lam)
+    logs, vals = [], []
+    for k, frac, exp in _ladder_upto(2.0, law.Q, lmax):
+        lw = k * llam2 + (exp - k - 1) * _LN2
+        logs.append(np.log(frac) + lw)
+        vals.append(frac * np.exp(lw))
+    return np.concatenate(logs), np.concatenate(vals)
+
+
+# The ratio bound's lam grid: the smallest lam whose seeds do not stall,
+# one next to 1, the ends of perfbench's range lam, and seeded points.
+_RATIO_LAMS = [0.02, 0.3, 0.95, 1.0 - 1e-8] + [
+    random.Random(24).uniform(0.02, 1.0 - 1e-6) for _ in range(8)]
 
 
 def survival_exact(d, K):
@@ -250,9 +274,16 @@ class TestProgenyHalfLaw:
             assert progeny_pmf(law, ell) == pytest.approx(full[ell - 1], rel=1e-12, abs=0)
 
     def test_stalled_ladder_seeds_still_raise(self):
-        # At lam = 0.01 the ladder's own seed series stall as well.
-        with pytest.raises(NonConvergent):
-            progeny_pmf(ProgenyHalfLaw(0.01), 5)
+        # Next to Q = 1 the ladder's own seed series stall as well (at k = 0,
+        # and at k = 1 for lam = 0.01); the error names the law. lam = 0.02
+        # answers (test_points_near_q_one_match_the_range).
+        for lam in (1e-3, 0.005, 0.01):
+            law = ProgenyHalfLaw(lam)
+            named = re.escape("lam = %g reads G_k at Q = 1 - lam^2 = %r" % (lam, law.Q)) + ".*seed series stalled"
+            with pytest.raises(NonConvergent, match=named):
+                progeny_pmf(law, 5)
+            with pytest.raises(NonConvergent, match=named):
+                progeny_pmf_range(law, 5)
 
     def test_near_certain_extinction_concentrates_at_one(self):
         # p_1 = 1/(1+lam); the rest of the mass is small but heavy-tailed.
@@ -267,6 +298,45 @@ class TestProgenyHalfLaw:
         rho = (1.0 + math.sqrt(law.Q)) / 2.0  # 1/z_minus
         tail = p[-1] * rho / (1.0 - rho)
         assert sum(p) + tail == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("lam", _RATIO_LAMS)
+    def test_ratio_bound_that_the_range_stop_rests_on(self, lam):
+        # p_(ell+1) <= rho p_ell, rho = (1 + sqrt Q)/2, on the unrounded
+        # log p_ell of every pair, past where the doubles underflow too.
+        # Subnormal doubles are rounded on a grid of 2^-1074, so there the
+        # ratio holds only up to that grid; it is checked on normal ones.
+        import numpy as np
+
+        law = ProgenyHalfLaw(lam)
+        rho = (1.0 + math.sqrt(law.Q)) / 2.0
+        logs, _ = _unstopped_range(law, 50_000)
+        assert np.diff(logs).max() <= math.log(rho)
+        p = progeny_pmf_range(law, 50_000)
+        assert all(b <= rho * a for a, b in zip(p, p[1:]) if a >= sys.float_info.min)
+
+    @pytest.mark.parametrize("lam,lmax", [(0.6, 10), (0.3, 1000), (1.0 - 1e-8, 2000), (0.02, 100_000),
+                                          (0.95, 100_000), (1.0 - 1e-8, 100_000), (0.919, 3000),
+                                          (0.5579, 20_000), (0.6, 1_000_000)])
+    def test_range_stops_where_the_pmf_underflows(self, lam, lmax, monkeypatch):
+        # The values equal a sweep to lmax, bit for bit, and the ladder is
+        # read up to the first whole block past ell* = 745/|ln rho|, where
+        # every double is 0.0. Blocks double, so that is at most 4 ell*.
+        # At lam = 0.919 and 0.5579 a block (k = 2023, 8167) opens on a
+        # subnormal p_ell about e^-741: a stop above the underflow would
+        # drop it.
+        law = ProgenyHalfLaw(lam)
+        full = _unstopped_range(law, lmax)[1].tolist()
+        read = []
+
+        def counted(*args):
+            for block in _ladder_upto(*args):
+                read.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(branching, "_ladder_upto", counted)
+        assert progeny_pmf_range(law, lmax) == full
+        ell_star = 745.0 / -math.log((1.0 + math.sqrt(law.Q)) / 2.0)
+        assert sum(read) <= min(lmax, 4.0 * ell_star)
 
 
 class TestProgenyPgfElementary:

@@ -144,7 +144,7 @@ class TestSumCommand:
         assert proc.returncode == 3
         assert json_lines(proc)[0]["status"] == "SlowConvergence"
 
-    @pytest.mark.parametrize("c", ["1e10", "1e300"])
+    @pytest.mark.parametrize("c", ["1e10", "1e300", "1.7e308"])
     def test_huge_c_exits_3(self, c):
         proc = run_cli("sum", "--eta", "2", "--c", c, "--x", "0.5", "--method", "direct")
         assert proc.returncode == 3
@@ -194,6 +194,12 @@ class TestProgenyCommand:
         assert proc.returncode == 3
         assert json_lines(proc)[0]["status"] == "NonConvergent"
         assert "seed columns" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_stalled_lambda_exits_3(self):
+        proc = run_cli("progeny", "pmf", "--lambda", "0.005", "--lmax", "3")
+        assert proc.returncode == 3
+        assert json_lines(proc)[0]["status"] == "NonConvergent"
+        assert "lam = 0.005" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_bad_lambda_exits_2(self):
         proc = run_cli("progeny", "pmf", "--lambda", "1.0", "--lmax", "3")

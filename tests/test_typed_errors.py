@@ -23,6 +23,7 @@ from hypersum.special import (
     HypParams,
     hyp2f1_half_one,
     hyp2f1_ladder,
+    hyp2f1_large_k,
     hyp2f1_series,
 )
 from hypersum.sums import SumParams, letac_sum, sum_direct
@@ -94,7 +95,7 @@ HUGE_C = {
 }
 
 
-@pytest.mark.parametrize("c", [1e10, 1e300])
+@pytest.mark.parametrize("c", [1e10, 1e300, 1.7e308])
 @pytest.mark.parametrize("read", HUGE_C.values(), ids=HUGE_C.keys())
 def test_ladder_refuses_c_past_its_column_bound(read, c):
     # At c = 1e10 the seeds alone would take 74.5 GiB, and past about
@@ -102,3 +103,9 @@ def test_ladder_refuses_c_past_its_column_bound(read, c):
     with pytest.raises(NonConvergent, match=re.escape("c = %g needs" % c)) as info:
         read(c)
     assert "bound of %d" % _LADDER_MAX_COLUMNS in str(info.value)
+
+
+def test_large_k_approximant_names_a_c_past_log_gamma_range():
+    # log Gamma(c) overflows past c = 2.5e305.
+    with pytest.raises(OverflowError, match=re.escape("c = 1.7e+308")):
+        hyp2f1_large_k(10, 1.7e308, 0.5)
