@@ -1,9 +1,9 @@
 """Weighted sums of Gauss hypergeometric functions, their closed forms,
 and the heavy-tailed branching-process distributions built on them.
 
-numpy and scipy are imported inside the functions that compute with them,
-so importing the package, and every route that runs in plain Python,
-loads neither.
+numpy is imported inside the functions that compute with it, so importing
+the package, and every route that runs in plain Python, does not load it.
+Nothing imports scipy.
 """
 
 from .branching import (

@@ -143,7 +143,10 @@ def _series_sum(a, b, c, x, tol, max_terms):
     by n d, so in a long series what grows linearly in n outweighs the
     floor.
 
-    One plain loop over every term, up to max_terms.
+    One plain loop over every term, up to max_terms. A term or partial sum
+    that is not finite (a parameter near the largest double makes
+    (c + n)(n + 1) overflow, and the ratio inf/inf) raises OverflowError
+    at once.
     """
     off = 0.0          # log of the scale factored out of acc, term and mass
     acc = 1.0
@@ -168,7 +171,11 @@ def _series_sum(a, b, c, x, tol, max_terms):
                 break
         else:
             small = 0
-        if at > _HUGE or aa > _HUGE:
+        # Written so that a NaN term also takes this branch.
+        if not (at <= _HUGE and aa <= _HUGE):
+            if not math.isfinite(at + aa):
+                raise OverflowError("2F1(%r, %r; %r; %r) series: term %d is not finite"
+                                    % (a, b, c, x, n))
             e = math.frexp(max(at, aa))[1]
             sc = math.ldexp(1.0, -e)
             term *= sc

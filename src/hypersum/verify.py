@@ -177,6 +177,20 @@ def closed_forms_suite():
             "max_rel_gauss": worst_g, "max_rel_limit": worst_l, "pass": ok}
 
 
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_(n >= 0) (n + q)^(-s) for s > 1 and q >= 1000, by
+    Euler-Maclaurin from n = 0: the integral q^(1-s)/(s-1), the end term
+    q^(-s)/2 and the Bernoulli terms B_2j/(2j)! (s)_(2j-1) q^(1-s-2j) for
+    j = 1, 2, 3. The first term left out is under 1e-16 of the sum for
+    s <= 10 and q >= 1000. Measured within 3e-16 relative of 40-digit
+    mpmath for s in [1.1, 10] and q from 1501 to 1e6.
+    """
+    v = q ** -s
+    return (q * v / (s - 1.0) + v / 2.0
+            + s * v / q * (1.0 / 12.0 - (s + 1.0) * (s + 2.0) / (720.0 * q * q)
+                           * (1.0 - (s + 3.0) * (s + 4.0) / (42.0 * q * q))))
+
+
 def _general_tail_estimate(law, q):
     """Sum of q_ell beyond the head q = [q_1, ..., q_n] (n >= 4000) from
     the power-law tail, as a Python float.
@@ -184,12 +198,13 @@ def _general_tail_estimate(law, q):
     q_ell approaches A ell^(1/2-c), log A being the law's prefactor plus
     the amplitude a of special._large_k_profile, a closed formula in (c, x)
     that the asymptotics suite checks against the ladder. Three 1/ell
-    correction coefficients are fitted from the head's values at moderate
-    ell, and the tail is summed in closed form with Hurwitz zetas. Good to
-    ~1e-11 absolute at n = 1e4.
+    correction coefficients are fitted from the head's values at
+    ell = 1500, 2500 and 4000, and the tail A sum_(ell > n) ell^(1/2-c)
+    (1 + c1/ell + c2/ell^2 + c3/ell^3) is four Hurwitz zetas at q = n + 1,
+    each from _hurwitz_zeta's Euler-Maclaurin sum. Good to ~1e-11 absolute
+    at n = 1e4.
     """
     import numpy as np
-    from scipy.special import zeta
 
     c, x = law.c, law.x
     logA = (math.log((c - 1.5) / (c - 1.0)) + 0.5 * math.log(x)
@@ -203,8 +218,8 @@ def _general_tail_estimate(law, q):
     c1, c2, c3 = np.linalg.solve(M, np.array(delta))
     A = math.exp(logA)
     zq = len(q) + 1
-    return float(A * (zeta(c - 0.5, zq) + c1 * zeta(c + 0.5, zq)
-                      + c2 * zeta(c + 1.5, zq) + c3 * zeta(c + 2.5, zq)))
+    return float(A * (_hurwitz_zeta(c - 0.5, zq) + c1 * _hurwitz_zeta(c + 0.5, zq)
+                      + c2 * _hurwitz_zeta(c + 1.5, zq) + c3 * _hurwitz_zeta(c + 2.5, zq)))
 
 
 def corollary1_suite():

@@ -33,7 +33,7 @@ from hypersum.branching import (
     sibuya_pmf,
     _dual_root,
 )
-from hypersum.errors import DomainError, NonConvergent
+from hypersum.errors import DomainError, NonConvergent, QuadratureFailure
 from hypersum.special import _CHUNKED_FROM, _LADDER_MAX_BLOCK, _LN2, _ladder_upto
 
 from conftest import ladder_block_edges
@@ -423,6 +423,43 @@ class TestBesselOracle:
     def test_bad_ell(self):
         with pytest.raises(DomainError):
             progeny_pmf_bessel_oracle(ProgenyHalfLaw(0.6), 0)
+
+    def test_agrees_with_recurrence_on_a_seeded_grid(self):
+        rng = random.Random(1729)
+        for _ in range(60):
+            lam = rng.uniform(0.02, 0.999)
+            ell = int(round(math.exp(rng.uniform(0.0, math.log(1000.0)))))
+            law = ProgenyHalfLaw(lam)
+            a = progeny_pmf_bessel_oracle(law, ell)
+            assert a == pytest.approx(progeny_pmf(law, ell), rel=1e-9, abs=0), (lam, ell)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8])
+    def test_small_lambda_against_mpmath(self, lam):
+        # 2^-ell lam^(2 ell - 2) 2F1(ell/2, (ell+1)/2; 2; 1 - lam^2) at 50
+        # digits. The integrand's peak is about lam/sqrt(ell) wide in the
+        # original angle; the quadrature once returned -1e-6 at
+        # (1e-6, 1) and 5e-41 for 8.3e-12 at (1e-8, 50) with status ok.
+        # The substituted angle keeps the node count bounded, so every
+        # call answers.
+        import mpmath as mp
+
+        law = ProgenyHalfLaw(lam)
+        assert progeny_pmf_bessel_oracle(law, 1) == 1.0 / (1.0 + lam)
+        for ell in (2, 5, 50):
+            with mp.workdps(50):
+                lm = mp.mpf(lam)
+                ref = (mp.mpf(2) ** -ell * lm ** (2 * ell - 2)
+                       * mp.hyp2f1(mp.mpf(ell) / 2, mp.mpf(ell + 1) / 2, 2, 1 - lm * lm))
+            got = progeny_pmf_bessel_oracle(law, ell)
+            assert abs(got - ref) <= 1e-10 * ref, (lam, ell)
+
+    def test_node_cap_raises(self, monkeypatch):
+        # ell = 1000 needs 256 steps on [0, pi/2].
+        monkeypatch.setattr(branching, "_ORACLE_MAX_STEPS", 64)
+        with pytest.raises(QuadratureFailure, match="ell = 1000"):
+            progeny_pmf_bessel_oracle(ProgenyHalfLaw(0.6), 1000)
+        assert progeny_pmf_bessel_oracle(ProgenyHalfLaw(0.6), 15) == pytest.approx(
+            progeny_pmf(ProgenyHalfLaw(0.6), 15), rel=1e-13)
 
 
 class TestGeneralProgenyLaw:

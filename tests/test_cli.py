@@ -151,6 +151,17 @@ class TestSumCommand:
         assert json_lines(proc)[0]["status"] == "NonConvergent"
         assert "seed columns" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_huge_c_closed_route_exits_3_at_once(self):
+        # The quadratic-transformation series meets a non-finite term at
+        # n = 2 and stops there; c = 1e300 answers in 30 terms.
+        proc = run_cli("sum", "--eta", "2", "--c", "1.7e308", "--x", "0.5")
+        assert proc.returncode == 3
+        assert json_lines(proc)[0]["status"] == "OverflowError"
+        assert "not finite" in proc.stderr and "Traceback" not in proc.stderr
+        proc = run_cli("sum", "--eta", "2", "--c", "1e300", "--x", "0.5")
+        assert proc.returncode == 0
+        assert json_lines(proc)[0]["value"] == pytest.approx(1.2, rel=1e-14)
+
     def test_bad_term_cap_env_exits_2(self):
         proc = run_cli("sum", "--eta", "2", "--c", "2.5", "--x", "0.5", "--method", "direct",
                        env_extra={"HYPERSUM_MAX_TERMS": "abc"})
@@ -278,8 +289,8 @@ class TestVerifyCommand:
     ], ids=["closed-forms", "corollary1"])
     def test_failing_suite_exits_4(self, suite, patch):
         # A wrong Gauss-theorem reference fails closed-forms; doubled general
-        # pmf values fail corollary1's mass check, whose tail estimate is a
-        # scipy figure. Either verdict must be a Python bool, which the JSON
+        # pmf values fail corollary1's mass check, whose tail fit is solved
+        # by numpy. Either verdict must be a Python bool, which the JSON
         # writer takes without a hook.
         code = ("import sys, hypersum.verify as v; from hypersum.cli import main; "
                 "%s; sys.exit(main(['verify', '--suite', %r]))" % (patch, suite))
@@ -397,3 +408,15 @@ class TestImportSurface:
         got, mods = _loaded_after(_main(*argv))
         assert got == 0
         assert "numpy" in mods and "scipy" not in mods
+
+    @pytest.mark.parametrize("code", [
+        _main("verify", "--suite", "corollary1"),
+        "from hypersum import ProgenyHalfLaw, progeny_pmf_bessel_oracle; "
+        "rc = 0 if progeny_pmf_bessel_oracle(ProgenyHalfLaw(0.6), 15) > 0 else 1",
+    ], ids=["corollary1", "bessel-oracle"])
+    def test_quadrature_and_zeta_tail_load_no_scipy(self, code):
+        # The Bessel oracle's trapezoid sums and corollary1's Hurwitz-zeta
+        # tail run in plain Python.
+        got, mods = _loaded_after(code)
+        assert got == 0
+        assert "scipy" not in mods

@@ -273,6 +273,14 @@ class TestHalfOneDispatch:
         with pytest.raises(DomainError):
             hyp2f1_half_one(2.0, 1.5)
 
+    def test_huge_c_overflows_at_once(self):
+        # (c + n)(n + 1) overflows at the second term and the ratio is
+        # inf/inf; the loop used to sum 100,000 NaN terms before raising
+        # NonConvergent. At c = 1e300 the value is 1 to rounding.
+        with pytest.raises(OverflowError, match=r"2F1\(1\.0, -1\.7e\+308; 1\.7e\+308; "):
+            hyp2f1_half_one(1.7e308, 0.72)
+        assert hyp2f1_half_one(1e300, 0.72).value == pytest.approx(1.0, rel=1e-14)
+
     def test_nan_argument_rejected(self):
         # c = 2 has a closed form that would carry the nan through.
         with pytest.raises(DomainError):
