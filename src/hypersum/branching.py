@@ -273,8 +273,8 @@ def progeny_pmf_bessel_oracle(law, ell):
     rounding at a few eps at every ell. The trapezoid rule on this
     periodic integrand converges geometrically, and it is exact from
     (ell - 1)/2 steps on [0, pi/2]: the step count doubles from 8 until two
-    sums agree within _ORACLE_TOL of the integral of |g|, and past
-    _ORACLE_MAX_STEPS it raises QuadratureFailure.
+    sums agree within _ORACLE_TOL times the integral of the integrand's
+    magnitude, and past _ORACLE_MAX_STEPS it raises QuadratureFailure.
 
     Measured against 50-digit mpmath at lam from 1e-8 to 0.999: within
     2.5e-15 relative for ell <= 30 (16 or 32 steps), 2.3e-13 up to
