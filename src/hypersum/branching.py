@@ -1,8 +1,9 @@
 """Heavy-tailed branching: scaled Sibuya offspring, the extinction dual,
 and total-progeny laws whose probabilities are hypergeometric ladder values.
 
-The pmfs read G_k = 2F1((k+1)/2, (k+2)/2; c; x) from special, a range from
-one k-ladder sweep and a point from special._ladder_value. The alpha = 1/2
+The pmfs read G_k = 2F1((k+1)/2, (k+2)/2; c; x) from special through one
+range reader and one point reader, which weight G_k in one place
+(_log_weight) and stop where the pmf underflows. The alpha = 1/2
 progeny law has three more independent expressions (elementary generating
 function, hypergeometric form, Bessel integral) that are kept separate on
 purpose; agreement between them is evidence, identity would be circular.
@@ -15,7 +16,7 @@ from .errors import DomainError, NonConvergent, QuadratureFailure, RootFindFailu
 from .special import (
     _LN2,
     _ladder_upto,
-    _ladder_value,
+    _seed_column,
     _whole,
     hyp2f1_half_one,
 )
@@ -132,65 +133,81 @@ class ProgenyHalfLaw:
         return cls(lam=math.sqrt(1.0 - Q))
 
 
-def _stalled(law, err):
-    """The half law's NonConvergent for a ladder whose seed series stall."""
-    return NonConvergent("the alpha = 1/2 progeny law at lam = %g reads G_k at Q = 1 - lam^2 = %r, "
-                         "where its %s" % (law.lam, law.Q, err))
-
-
-def progeny_pmf(law, ell):
-    """P(total progeny = ell) = 2^-ell (1-Q)^(ell-1) G_(ell-1)(2; Q).
-
-    For lam up to about 0.01, Q is so close to 1 that the ladder's seed
-    series stall at their cap: NonConvergent, naming lam, Q and the series.
-    """
-    ell = _whole(ell, 1, "ell")
-    try:
-        frac, exp = _ladder_value(2.0, law.Q, ell - 1)
-    except NonConvergent as err:
-        raise _stalled(law, err) from None
-    # The power 2^-ell joins G's exponent as an integer.
-    return frac * math.exp((ell - 1) * (2.0 * math.log(law.lam)) + (exp - ell) * _LN2)
-
-
 # A ladder block whose log weights all lie below this holds only exact
 # zeros, far under the smallest subnormal e^-744.4.
 _ZERO_LOG_WEIGHT = -800.0
 
 
-def progeny_pmf_range(law, lmax):
-    """P(total progeny = ell) for ell = 1..lmax, one ladder sweep.
+def _log_weight(k, exp, lpref, lr):
+    """w = lpref + k lr + exp ln 2, so that p = G_k e^(lpref + k lr) is
+    frac e^w for G_k = frac 2^exp: the one place where the progeny laws
+    weight the ladder, for arrays and for scalars alike."""
+    return lpref + k * lr + exp * _LN2
 
-    p_ell = frac 2^exp e^w with frac in [1/2, 1) and the log weight
-    w = k 2 ln(lam) + (exp - k - 1) ln 2, k = ell - 1. The law falls with
-    ratio p_(ell+1)/p_ell at most rho = (1 + sqrt Q)/2 < 1 (the large-k
-    profile of G_k; the tests check it on every consecutive pair up to
-    ell = 50,000 at lam from 0.02 to 1 - 1e-8, where it peaks at 0.99997
-    rho). So once a whole ladder block has w below _ZERO_LOG_WEIGHT, it and
-    every later index round to exactly 0.0, and the sweep stops there:
-    past about ell = 745/|ln rho| (7,070 at lam = 0.6, at most 32,000 for
-    lam >= 0.3) a long range costs no more ladder steps, and its zero tail
-    shares one float. The values are those of a sweep to lmax, bit for
-    bit. Seed series that stall (lam up to about 0.01) raise
-    NonConvergent, naming lam, Q and the series.
-    """
-    lmax = _whole(lmax, 1, "lmax")
+
+def _stopping_blocks(c, x, lpref, lr, n):
+    """(k, frac, w) arrays of _ladder_upto(c, x, n), w = _log_weight, ending
+    before the first whole block whose w all lie below _ZERO_LOG_WEIGHT:
+    it and every later block hold only exact zeros, as both laws are
+    non-increasing in ell. The half law falls with ratio at most
+    rho = (1 + sqrt Q)/2 (tested up to ell = 50,000), so it stops near
+    ell = 745/|ln rho| (7,070 at lam = 0.6); the general law is a mixture
+    of geometric laws."""
+    for k, frac, exp in _ladder_upto(c, x, n):
+        w = _log_weight(k, exp, lpref, lr)
+        if w.max() < _ZERO_LOG_WEIGHT:
+            return
+        yield k, frac, w
+
+
+def _pmf_range(c, x, lpref, lr, lmax):
+    """p_ell = G_(ell-1)(c; x) e^(lpref + (ell-1) lr) for ell = 1..lmax from
+    one ladder sweep, 0.0 past where _stopping_blocks stops."""
     import numpy as np
 
-    llam2 = 2.0 * math.log(law.lam)
     # Filled in place: a list grown block by block reallocates its buffer,
     # which raised the peak memory of a 1e6 range by about 2%.
     out = [0.0] * lmax
-    try:
-        # k = ell - 1 on each ladder block.
-        for k, frac, exp in _ladder_upto(2.0, law.Q, lmax):
-            lw = k * llam2 + (exp - k - 1) * _LN2
-            if lw.max() < _ZERO_LOG_WEIGHT:
-                break
-            out[k[0]:k[-1] + 1] = (frac * np.exp(lw)).tolist()
-    except NonConvergent as err:
-        raise _stalled(law, err) from None
+    for k, frac, w in _stopping_blocks(c, x, lpref, lr, lmax):
+        out[k[0]:k[-1] + 1] = (frac * np.exp(w)).tolist()
     return out
+
+
+def _pmf_point(c, x, lpref, lr, ell):
+    """p_ell as _pmf_range weights it, from G_(ell-1)'s one seed column
+    where special._seed_column gives it, else from the same stopping
+    blocks."""
+    k = ell - 1
+    g = _seed_column(c, x, k)
+    if g is not None:
+        frac, exp = math.frexp(g)
+        return frac * math.exp(_log_weight(k, exp, lpref, lr))
+    p = 0.0
+    for ks, frac, w in _stopping_blocks(c, x, lpref, lr, ell):
+        if ks[-1] == k:
+            p = float(frac[-1]) * math.exp(w[-1])
+    return p
+
+
+def _half_law(law, read, n):
+    """read(2, Q, -ln 2, ln(1 - Q) - ln 2, n): the weight of the ladder's
+    rounded Q. Seed series that stall (lam up to about 0.01) raise
+    NonConvergent, naming lam, Q and the series."""
+    try:
+        return read(2.0, law.Q, -_LN2, math.log1p(-law.Q) - _LN2, n)
+    except NonConvergent as err:
+        raise NonConvergent("the alpha = 1/2 progeny law at lam = %g reads G_k at Q = 1 - lam^2 = %r, "
+                            "where its %s" % (law.lam, law.Q, err)) from None
+
+
+def progeny_pmf(law, ell):
+    """P(total progeny = ell) = 2^-ell (1-Q)^(ell-1) G_(ell-1)(2; Q)."""
+    return _half_law(law, _pmf_point, _whole(ell, 1, "ell"))
+
+
+def progeny_pmf_range(law, lmax):
+    """progeny_pmf for ell = 1..lmax from one ladder sweep."""
+    return _half_law(law, _pmf_range, _whole(lmax, 1, "lmax"))
 
 
 def progeny_pgf_elementary(law, z):
@@ -357,30 +374,20 @@ class GeneralProgenyLaw:
             raise DomainError("require 0 < x < 1")
 
 
+def _general_law(law, read, n):
+    """read(c, x, log((c-3/2)/(c-1)) + log(x)/2, log(1 - sqrt x), n)."""
+    lpref = math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
+    return read(law.c, law.x, lpref, math.log1p(-math.sqrt(law.x)), n)
+
+
 def general_progeny_pmf(law, ell):
-    """q_ell from the point query special._ladder_value, formed in log space."""
-    ell = _whole(ell, 1, "ell")
-    frac, exp = _ladder_value(law.c, law.x, ell - 1)
-    if frac < 0.0:
-        raise DomainError("negative mass at ell = %d (invalid parameters)" % ell)
-    lg = math.log(frac) + exp * _LN2 if frac else -math.inf
-    rx = math.sqrt(law.x)
-    return math.exp(math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
-                    + (ell - 1) * math.log1p(-rx) + lg)
+    """q_ell, as general_progeny_pmf_range has it."""
+    return _general_law(law, _pmf_point, _whole(ell, 1, "ell"))
 
 
 def general_progeny_pmf_range(law, lmax):
-    """q_ell for ell = 1..lmax from a single ladder sweep."""
-    lmax = _whole(lmax, 1, "lmax")
-    import numpy as np
-
-    lpref = math.log((law.c - 1.5) / (law.c - 1.0)) + 0.5 * math.log(law.x)
-    l1mrx = math.log1p(-math.sqrt(law.x))
-    out = [0.0] * lmax
-    # k = ell - 1 on each ladder block; filled in place as in progeny_pmf_range.
-    for k, frac, exp in _ladder_upto(law.c, law.x, lmax):
-        out[k[0]:k[-1] + 1] = (frac * np.exp(lpref + k * l1mrx + exp * _LN2)).tolist()
-    return out
+    """q_ell for ell = 1..lmax from one ladder sweep."""
+    return _general_law(law, _pmf_range, _whole(lmax, 1, "lmax"))
 
 
 def _dual_root(v, lv, alpha):

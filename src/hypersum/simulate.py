@@ -319,8 +319,7 @@ def gof_compare(sim, law, bins=20):
     """
     if not isinstance(law, ProgenyHalfLaw):
         raise DomainError("analytic cells require a ProgenyHalfLaw")
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+    bins = _whole(bins, 1, "bins")
     n = sim.replicates
     pmf = progeny_pmf_range(law, bins)
     head = sum(sim.counts.get(ell, 0) for ell in range(1, bins + 1))

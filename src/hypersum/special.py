@@ -260,7 +260,7 @@ def hyp2f1_half_one(c, chi, tol=DEFAULT_TOL, max_terms=None, *, _s=None):
     does to a long series.
 
     ``_s`` is private: s formed by a caller that knows 1 - chi better than
-    the rounded chi does (sums.sum_closed, sums.letac_sum).
+    the rounded chi does (sums.sum_closed, sums.letac_sum's closed route).
     """
     if not 0 < c < math.inf:
         raise DomainError("require finite c > 0")
@@ -306,10 +306,10 @@ def _large_k_profile(c, x):
     """(a, beta, b) with log|G_k| ~ a + beta log k + b k to leading order
     as k grows: the magnitude of hyp2f1_large_k's approximant for
     0 < x < 1, its envelope (without sin Phi_k) for x < 0, and G_k = 1 at
-    x = 0. The one home of this profile: hyp2f1_large_k reads it, the
-    direct sums (sums.sum_direct, sums.letac_sum) take their block plan,
-    term ratio e^(b + log w) and fitted tail from it, and the corollary1
-    suite its tail amplitude. log(1 - sqrt x) is formed as
+    x = 0. The one home of this profile: hyp2f1_large_k reads it,
+    sums.sum_direct (and through it letac_sum's direct route) takes its
+    block plan, term ratio e^(b + log w) and fitted tail from it, and the
+    corollary1 suite its tail amplitude. log(1 - sqrt x) is formed as
     log(1 - x) - log(1 + sqrt x), which does not cancel next to x = 1.
     No validation: callers check c > 0 and x < 1."""
     if x == 0.0:
@@ -722,7 +722,7 @@ def _seed_depth(c):
     """The ladder's seed depth m: its seeds take m + 2 columns, so that
     every middle index sits strictly above the lone coefficient pole at
     k = c - 1/2. A c that would need more than _LADDER_MAX_COLUMNS columns
-    raises NonConvergent; the direct sums ask before they form the large-k
+    raises NonConvergent; sums.sum_direct asks before it forms the large-k
     profile, whose log Gamma(c) overflows past c = 2.5e305."""
     m = max(4, math.ceil(c + 1.5) + 1)
     if m + 2 > _LADDER_MAX_COLUMNS:
@@ -759,8 +759,8 @@ def _ladder(c, x, n=None, width=None, expect=None):
     steps. Cutting changes none of the values kept, so G_k depends neither
     on n nor on ``width``, unless the cut decides how long a block's chunks
     are.
-    ``expect`` is private to the direct sums (sums._ladder_sum), which
-    predict from the large-k profile how many values they will read. When
+    ``expect`` is private to sum_direct's reader (sums._ladder_sum), which
+    predicts from the large-k profile how many values it will read. When
     it lies more than _PLANNED_FROM steps past the seeds, the loop phase is
     skipped: each chunked block is sized to reach ``expect`` (at most
     _LADDER_MAX_BLOCK steps), and past it the blocks go on from
@@ -833,20 +833,17 @@ def _ladder_upto(c, x, n):
             return
 
 
-def _ladder_value(c, x, k):
-    """(frac, exp) with G_k = frac * 2**exp: for 0 < x < 1 and k <= 150 the
-    one column _ladder_seeds(c, x, 1, k) where _seed_width expects it within
-    _SEED_MAX_TERMS terms, else (or where that series leaves double range or
-    stalls) the ladder's value. At x < 0 a single Pfaff column loses every
-    digit by k = 150."""
-    if 0.0 < x and k <= 150 and (size := _seed_width(k + 0.5 - c, x, _SEED_TOL)) <= _SEED_MAX_TERMS:
+def _seed_column(c, x, k):
+    """G_k from the one column _ladder_seeds(c, x, 1, k), for the progeny
+    point queries at 0 < x < 1 (at x < 0 a single Pfaff column loses every
+    digit by k = 150): where k <= 150 and _seed_width expects the column
+    within _SEED_MAX_TERMS terms, unless that series leaves double range
+    or stalls; None otherwise."""
+    if k <= 150 and (size := _seed_width(k + 0.5 - c, x, _SEED_TOL)) <= _SEED_MAX_TERMS:
         try:
-            return math.frexp(_ladder_seeds(c, x, 1, k, size)[0])
+            return _ladder_seeds(c, x, 1, k, size)[0]
         except (OverflowError, NonConvergent):
-            pass
-    for _, frac, exp in _ladder_upto(c, x, k + 1):
-        pass
-    return float(frac[-1]), int(exp[-1])
+            return None
 
 
 def hyp2f1_ladder(c, x, kmax):

@@ -3,12 +3,12 @@ closed forms, special cases, and the geometric-weight variant sum.
 
 S(eta, c; x) = sum_{k>=0} ((1-x)/(1+eta))^k * 2F1(k/2+1/2, k/2+1; c; x).
 
-Direct summation (and the direct variant sum) reads the inner functions
-from special._ladder, the one streaming stride-2 recurrence ladder, which
-gives each G_k as a float times an integer power of two; a term is that
-float times exp(k log w + e ln 2) for weight w. One block reader,
-_ladder_sum, forms the terms, the stop rule and the running sums for both.
-Each sum first predicts where its terms fall under tol from the large-k
+Direct summation (the variant sum's too: it is z S(eta', c; x)) reads the
+inner functions from special._ladder, the one streaming stride-2
+recurrence ladder, which gives each G_k as a float times an integer power
+of two; a term is that float times exp(k log w + e ln 2) for weight w. One
+block reader, _ladder_sum, forms the terms, the stop rule and the running
+sums. It first predicts where the terms fall under tol from the large-k
 profile of G_k (_expected_terms). A sum expected to end within a few
 hundred steps of the seeds is read term by term over the ladder's loop
 phase (up to its first 992 steps), which hands out plain floats in lists
@@ -134,13 +134,13 @@ def convergence_check(p):
     return ConvergenceVerdict(False, False, divergent_reason)
 
 
-# The direct sums read the ladder's loop phase in lists of this many values.
+# The direct sum reads the ladder's loop phase in lists of this many values.
 _READ_LIST = 32
 # Drift of the ladder, in eps per step: the relative error of G_k grows
 # about linearly in k. Against 40-digit mpmath on 1,100 seeded direct sums
 # (interior and pocket strata, x = 0 at eta = 1e-3 and the point
 # (0.00533, 0.667, 2.18e-5)), the largest error beyond the tail and the
-# rounding floor was 16 eps sum (k + shift)|t|, at x just below 0.
+# rounding floor was 16 eps sum k|t|, at x just below 0.
 _DRIFT = 32.0
 _EPS = 2.220446049250313e-16
 
@@ -148,9 +148,9 @@ _EPS = 2.220446049250313e-16
 def _error_floor(sum_abs, moment, log_scale):
     """Error floor of a direct sum beyond its tail: 4 eps sum|t| for the
     rounding of the terms and their sum, plus
-    eps (_DRIFT + log_scale) sum (k + shift)|t| for what grows linearly in
-    k: the ladder's drift, and the rounding of the weight's exponent
-    (k + shift) lw, lw being formed from logs of sum ``log_scale``."""
+    eps (_DRIFT + log_scale) sum k|t| for what grows linearly in k: the
+    ladder's drift, and the rounding of the weight's exponent k lw, lw
+    being formed from logs of sum ``log_scale``."""
     return _ROUNDING * sum_abs + _EPS * (_DRIFT + log_scale) * moment
 
 
@@ -164,10 +164,10 @@ def _far_term(v, lt):
         return math.copysign(math.inf, f)
 
 
-def _expected_terms(profile, lw, shift, tol):
-    """How many terms a direct sum of t_k = G_k exp((k + shift) lw) is
-    expected to read before it stops, or None where the profile's terms do
-    not fall (or tol is 0).
+def _expected_terms(profile, lw, tol):
+    """How many terms a direct sum of t_k = G_k exp(k lw) is expected to
+    read before it stops, or None where the profile's terms do not fall
+    (or tol is 0).
 
     ``profile`` is special._large_k_profile(c, x): |G_k| at x > 0, its
     envelope at x < 0 and 1 at x = 0. The first k at which it puts |t_k|
@@ -180,7 +180,7 @@ def _expected_terms(profile, lw, shift, tol):
     d = b + lw
     if not (d < 0.0 and tol > 0.0):
         return None
-    rhs = math.log(tol) - a - shift * lw
+    rhs = math.log(tol) - a
     if rhs >= 0.0:
         return None
     # Solve h(u) = d e^u + beta u - rhs = 0 for u = log k, log|t_k| being
@@ -192,24 +192,23 @@ def _expected_terms(profile, lw, shift, tol):
     return int(math.exp(u)) + 4
 
 
-def _ladder_sum(c, x, lw, shift, tol, n, mark=None, expect=None):
-    """Running sum of t_k = G_k exp((k + shift) lw) over ladder indices
-    k = 0..n-1 of special._ladder, stopping once three terms in a row have
-    |t| < tol with k > 2.
+def _ladder_sum(c, x, lw, tol, n, mark=None, expect=None):
+    """Running sum of t_k = G_k exp(k lw) over ladder indices k = 0..n-1
+    of special._ladder, stopping once three terms in a row have |t| < tol
+    with k > 2.
 
     ``expect`` goes to special._ladder, which plans its blocks to reach it
     (from _expected_terms); the terms and the stop rule are the same with
     or without it, and the values differ only in their last bits.
     The seeds and the loop phase come as lists of _READ_LIST Python floats
     v with their chain exponents e, the ladder stepping only as far as they
-    are read. They are read term by term as
-    t = v exp((k + shift) lw + e ln 2), +-inf past double range: as
-    v exp((k + shift) lw) while the list's exponents are 0 (until a value
-    leaves [1e-250, 1e250]), by _far_term where the exponent passes 709.
-    The (frac, exp) arrays of the chunk transfers go through _block_sum,
-    where a term whose log passes 709 counts as infinite (0 where G_k is
-    0). Returns (s, sum|t|, last term, terms read, stopped,
-    sum (k + shift)|t|, t_mark), t_mark being the term of index ``mark``
+    are read. They are read term by term as t = v exp(k lw + e ln 2),
+    +-inf past double range: as v exp(k lw) while the list's exponents are
+    0 (until a value leaves [1e-250, 1e250]), by _far_term where the
+    exponent passes 709. The (frac, exp) arrays of the chunk transfers go
+    through _block_sum, where a term whose log passes 709 counts as
+    infinite (0 where G_k is 0). Returns (s, sum|t|, last term, terms read,
+    stopped, sum k|t|, t_mark), t_mark being the term of index ``mark``
     when a chunked block holds it (None otherwise).
     """
     s = 0.0
@@ -225,8 +224,7 @@ def _ladder_sum(c, x, lw, shift, tol, n, mark=None, expect=None):
             lim = 709.0 if e == (0, 0) else -math.inf
             k1 = k
             for v in vals if k + len(vals) <= n else vals[:n - k]:
-                j = k + shift
-                lt = j * lw
+                lt = k * lw
                 if lt > lim:
                     lt += e[(k - k1) % 2] * _LN2
                     t = v * exp(lt) if lt <= 709.0 else _far_term(v, lt)
@@ -235,7 +233,7 @@ def _ladder_sum(c, x, lw, shift, tol, n, mark=None, expect=None):
                 s += t
                 a = abs(t)
                 sum_abs += a
-                mom += j * a
+                mom += k * a
                 k += 1
                 if a < tol:
                     small += 1
@@ -247,8 +245,8 @@ def _ladder_sum(c, x, lw, shift, tol, n, mark=None, expect=None):
             m = min(len(vals), n - k)
             if mark is not None and k <= mark < k + m:
                 j = mark - k
-                t_mark = _far_term(float(vals[j]), (mark + shift) * lw + int(e[j]) * _LN2)
-            s, sum_abs, mom, t, used, small = _block_sum(vals[:m], e[:m], k, shift, lw, tol,
+                t_mark = _far_term(float(vals[j]), mark * lw + int(e[j]) * _LN2)
+            s, sum_abs, mom, t, used, small = _block_sum(vals[:m], e[:m], k, lw, tol,
                                                          s, sum_abs, mom, small)
             k += used
             if small == 3:
@@ -267,19 +265,19 @@ def _first(flags):
     return i if flags[i] else None
 
 
-def _block_sum(frac, exp, k, shift, lw, tol, s, sum_abs, mom, small):
+def _block_sum(frac, exp, k, lw, tol, s, sum_abs, mom, small):
     """_ladder_sum's loop over one block G_(k+j) = frac[j] 2^exp[j], in numpy.
 
     The terms, the stop rule (counting the small terms carried in) and the
-    running sums s, sum|t| and sum (k + shift)|t| come from array
-    operations; s and sum|t| are ordered add.accumulates seeded by the
-    carried ones, so they differ from the term-by-term loop only through
-    np.exp's last bit. Returns (s, sum|t|, sum (k + shift)|t|, last term,
-    terms read, small-term count), the count being 3 when the sum stopped.
+    running sums s, sum|t| and sum k|t| come from array operations; s and
+    sum|t| are ordered add.accumulates seeded by the carried ones, so they
+    differ from the term-by-term loop only through np.exp's last bit.
+    Returns (s, sum|t|, sum k|t|, last term, terms read, small-term
+    count), the count being 3 when the sum stopped.
     """
     import numpy as np
 
-    js = np.arange(k + shift, k + shift + len(frac), dtype=float)
+    js = np.arange(k, k + len(frac), dtype=float)
     ts = js * lw
     ts += exp * _LN2
     over = ts > 709.0
@@ -441,7 +439,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     # Log of the terms' ratio at large k.
     lr = profile[2] + lw
     s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(
-        p.c, p.x, lw, 0, tol, max_terms + 1, mark, _expected_terms(profile, lw, 0, tol))
+        p.c, p.x, lw, tol, max_terms + 1, mark, _expected_terms(profile, lw, tol))
     log_scale = abs(l1x) + l1e
     floor = _error_floor(sum_abs, mom, log_scale)
     if not stopped:
@@ -638,12 +636,17 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
 
     Defined for 0 < z < 1 and 0 < x < (1-z)^2; equals
     (z/(1-z)) 2F1(1/2, 1; c; x/(1-z)^2). The inner function at index k is
-    the ladder value at k-1 (parameter shift by one half step). The direct
-    route is sum_direct's block reader with the weight z^k and the term
-    count shifted by that one index, and the same block plan, stop rule
-    and error floor (with |log z| for the weight's log). Both methods pass
-    tol and max_terms on, and a max_terms that is not a whole number >= 1
-    raises DomainError on either.
+    the ladder value G_(k-1), so the variant sum is z S(eta', c; x) at
+    eta' = (1-x-z)/z, where S's weight (1-x)/(1+eta') is z, and
+    x < (1-z)^2 is eta' > sqrt(x). The direct route is
+    z sum_direct(SumParams(eta', c, x), tol/z, max_terms): its block plan,
+    stop rule, error estimate and, at caps of at least 10,000, fitted
+    tail. It reads at most max_terms + 1 terms (k = 1..max_terms + 1);
+    where eta' rounds onto S's boundary (1 - z - sqrt(x) under about
+    5e-13 z) sum_direct's boundary rules apply, and a z below about
+    5.6e-309, where eta' leaves double range, raises DomainError. Both
+    methods pass tol and max_terms on, and a max_terms that is not a whole
+    number >= 1 raises DomainError on either.
     """
     if not 0.0 < z < 1.0:
         raise DomainError("require 0 < z < 1")
@@ -654,30 +657,22 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     max_terms = _term_cap(max_terms)
     method = method.lower()
     if method == "closed":
-        # s = sqrt(1 - chi) from (1-z)^2 - x = (1-z-sqrt(x))(1-z+sqrt(x)),
-        # which does not cancel next to x = (1-z)^2.
-        r = math.sqrt(x)
-        s = math.sqrt((1.0 - z - r) * (1.0 - z + r)) / (1.0 - z)
-        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2, tol, max_terms, _s=s)
+        # s = sqrt(1 - chi) from (1-z)^2 - x = 1 - 2z + z^2 - x, summed
+        # exactly: next to x = (1-z)^2 it cancels, and a factored form
+        # would carry the rounding of 1 - z and sqrt(x) (4.8e-14 relative
+        # in s at 1 - chi = 1e-3).
+        hi, lo = _two_square(z)
+        s = math.sqrt(math.fsum((1.0, -2.0 * z, hi, lo, -x))) / (1.0 - z)
         pref = z / (1.0 - z)
-        return EvalResult(value=pref * inner.value,
-                          abs_error_estimate=pref * inner.abs_error_estimate,
-                          terms_used=inner.terms_used, method=inner.method)
-    if method != "direct":
+        inner = hyp2f1_half_one(c, x / (1.0 - z) ** 2, tol, max_terms, _s=s)
+    elif method == "direct":
+        pref = z
+        inner = sum_direct(SumParams((1.0 - x - z) / z, c, x), tol / z, max_terms)
+    else:
         raise ValueError("method must be 'direct' or 'closed'")
-    # The term of index k is the ladder value at k - 1 times z^k.
-    lz = math.log(z)
-    _seed_depth(c)  # the column bound before log Gamma(c), as in sum_direct
-    profile = _large_k_profile(c, x)
-    s, sum_abs, t, used, stopped, mom, _ = _ladder_sum(c, x, lz, 1, tol, max_terms, None,
-                                                       _expected_terms(profile, lz, 1, tol))
-    if not stopped:
-        raise SlowConvergence("variant sum did not settle in %d terms" % max_terms)
-    # z/(1 - sqrt x), the terms' ratio at large k.
-    rho = min(math.exp(profile[2] + lz), 0.999999)
-    est = abs(t) * rho / (1.0 - rho) + _error_floor(sum_abs, mom, abs(lz))
-    return EvalResult(value=s, abs_error_estimate=est,
-                      terms_used=used, method=Method.Series)
+    return EvalResult(value=pref * inner.value,
+                      abs_error_estimate=pref * inner.abs_error_estimate,
+                      terms_used=inner.terms_used, method=inner.method)
 
 
 def normalization_identity(x):

@@ -188,16 +188,16 @@ def ref_loop_ladder(c, x, n):
     return out
 
 
-def ref_ladder_sum(c, x, lw, shift, tol, n):
+def ref_ladder_sum(c, x, lw, tol, n):
     """Scalar reference for sums._ladder_sum: one loop over every value of
     special._ladder, in the lists the reader reads, with
-    t_k = G_k exp((k + shift) lw) and math.exp per term, stopping at three
+    t_k = G_k exp(k lw) and math.exp per term, stopping at three
     terms in a row under tol with k > 2. A value v with chain exponent e of
-    a list gives t = v exp(l), l = (k + shift) lw + e ln 2, when l <= 709,
+    a list gives t = v exp(l), l = k lw + e ln 2, when l <= 709,
     and f exp(l + e' ln 2) otherwise, f 2^e' being v split by frexp (+-inf
     past double range). A G_k = f 2^e of an array gives
-    f exp((k + shift) lw + e ln 2), infinite when that log passes 709.
-    Returns (s, sum|t|, last term, terms read, stopped, sum (k + shift)|t|)."""
+    f exp(k lw + e ln 2), infinite when that log passes 709.
+    Returns (s, sum|t|, last term, terms read, stopped, sum k|t|)."""
     from hypersum.special import _ladder
     from hypersum.sums import _READ_LIST
 
@@ -217,7 +217,7 @@ def ref_ladder_sum(c, x, lw, shift, tol, n):
         for v, ce in zip(vals, exps):
             if k == n:
                 return s, sum_abs, t, k, False, mom
-            lt = (k + shift) * lw + ce * ln2
+            lt = k * lw + ce * ln2
             if lt <= 709.0:
                 t = v * math.exp(lt)
             elif is_list:
@@ -231,7 +231,7 @@ def ref_ladder_sum(c, x, lw, shift, tol, n):
             s += t
             a = abs(t)
             sum_abs += a
-            mom += (k + shift) * a
+            mom += k * a
             if a < tol:
                 small += 1
                 if small >= 3 and k > 2:

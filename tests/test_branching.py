@@ -50,13 +50,18 @@ def _chunked_edge_ells(c):
 
 def _unstopped_range(law, lmax):
     """(log p_ell, p_ell) as arrays for ell = 1..lmax: every block of
-    _ladder_upto weighted as progeny_pmf_range weights it, with no stop."""
+    _ladder_upto weighted as the law's pmf range weights it, with no stop."""
     import numpy as np
 
-    llam2 = 2.0 * math.log(law.lam)
+    if isinstance(law, ProgenyHalfLaw):
+        c, x, lpref, lr = 2.0, law.Q, -_LN2, math.log1p(-law.Q) - _LN2
+    else:
+        c, x = law.c, law.x
+        lpref = math.log((c - 1.5) / (c - 1.0)) + 0.5 * math.log(x)
+        lr = math.log1p(-math.sqrt(x))
     logs, vals = [], []
-    for k, frac, exp in _ladder_upto(2.0, law.Q, lmax):
-        lw = k * llam2 + (exp - k - 1) * _LN2
+    for k, frac, exp in _ladder_upto(c, x, lmax):
+        lw = lpref + k * lr + exp * _LN2
         logs.append(np.log(frac) + lw)
         vals.append(frac * np.exp(lw))
     return np.concatenate(logs), np.concatenate(vals)
@@ -64,8 +69,13 @@ def _unstopped_range(law, lmax):
 
 # The ratio bound's lam grid: the smallest lam whose seeds do not stall,
 # one next to 1, the ends of perfbench's range lam, and seeded points.
-_RATIO_LAMS = [0.02, 0.3, 0.95, 1.0 - 1e-8] + [
-    random.Random(24).uniform(0.02, 1.0 - 1e-6) for _ in range(8)]
+_rng = random.Random(24)
+_RATIO_LAMS = [0.02, 0.3, 0.95, 1.0 - 1e-8] + [_rng.uniform(0.02, 1.0 - 1e-6) for _ in range(8)]
+# The general law's monotone grid: c next to 3/2 and at 60, x next to
+# 0 and 1, and seeded points with c in (3/2, 60], x in (0, 1).
+_rng = random.Random(26)
+_MONOTONE_GRID = [(1.5 + 1e-3, 0.5), (60.0, 0.999), (30.0, 1e-3)] + [
+    (_rng.uniform(1.5, 60.0), _rng.uniform(0.0, 1.0)) for _ in range(9)]
 
 
 def survival_exact(d, K):
@@ -204,18 +214,49 @@ class TestProgenyHalfLaw:
 
     @pytest.mark.parametrize("ell", [20_000, 30_000])
     def test_long_range_accuracy(self, ell):
-        # 2^-ell lam^(2(ell-1)) G_(ell-1)(2; Q) at 40 digits, with the
-        # law's own float Q. A float log offset summed over the ladder's
+        # 2^-ell lam^(2(ell-1)) G_(ell-1)(2; 1 - lam^2) at 40 digits, at
+        # the law's float lam. A float log offset summed over the ladder's
         # rescales drifted to 1.2e-10 here.
         import mpmath as mp
 
         law = ProgenyHalfLaw(0.2)
         k = ell - 1
         with mp.workdps(40):
-            ref = (mp.mpf(2) ** -ell * mp.mpf(law.lam) ** (2 * k)
-                   * mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, 2, law.Q))
+            lam = mp.mpf(law.lam)
+            ref = (mp.mpf(2) ** -ell * lam ** (2 * k)
+                   * mp.hyp2f1(mp.mpf(k + 1) / 2, mp.mpf(k + 2) / 2, 2, 1 - lam ** 2))
         for v in (progeny_pmf(law, ell), progeny_pmf_range(law, ell)[ell - 1]):
             assert abs(v - ref) <= 2e-11 * ref
+
+    @pytest.mark.parametrize("lam", [0.02, 0.05])
+    @pytest.mark.parametrize("ell", [100, 1000, 10_000])
+    def test_small_lambda_against_the_bessel_oracle(self, lam, ell):
+        # The weight (1-Q)^(ell-1) is taken from the Q the ladder reads:
+        # one from lam^2 would be off by about ell eps/lam^2 (1.1e-9 at
+        # lam = 0.02, ell = 10,000). The oracle is within 5e-13 here.
+        law = ProgenyHalfLaw(lam)
+        ref = progeny_pmf_bessel_oracle(law, ell)
+        for v in (progeny_pmf(law, ell), progeny_pmf_range(law, ell)[-1]):
+            assert v == pytest.approx(ref, rel=1e-11, abs=0)
+
+    def test_point_far_past_the_underflow_reads_the_stopping_blocks(self, monkeypatch):
+        # The point query stops where the range does, instead of stepping
+        # the ladder to ell = 10^7 for an exact zero.
+        law = ProgenyHalfLaw(0.6)
+        read = []
+
+        def counted(*args):
+            for block in _ladder_upto(*args):
+                read[-1] += len(block[0])
+                yield block
+
+        monkeypatch.setattr(branching, "_ladder_upto", counted)
+        read.append(0)
+        assert progeny_pmf(law, 10**7) == 0.0
+        read.append(0)
+        # A range to 10^6 stops in the same block as one to 10^7 would.
+        progeny_pmf_range(law, 10**6)
+        assert 0 < read[0] <= read[1] < 50_000
 
     def test_range_across_block_edges(self):
         # Every prefix length around the first ladder blocks gives the same
@@ -499,6 +540,31 @@ class TestGeneralProgenyLaw:
         law = GeneralProgenyLaw(c, x)
         assert general_progeny_pmf(law, 151) == pytest.approx(
             general_progeny_pmf_range(law, 151)[-1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c,x", _MONOTONE_GRID)
+    def test_range_is_non_increasing(self, c, x):
+        # The range stop rests on it: the law is a mixture of geometric
+        # laws. Subnormal doubles are rounded on a grid of 2^-1074, so it
+        # is checked on normal ones.
+        q = general_progeny_pmf_range(GeneralProgenyLaw(c, x), 50_000)
+        assert all(b <= a for a, b in zip(q, q[1:]) if b >= sys.float_info.min)
+
+    def test_range_stops_where_the_pmf_underflows(self, monkeypatch):
+        # 17,395 of these 20,000 values are exact zeros: the range equals a
+        # sweep to lmax bit for bit and reads fewer ladder values.
+        law = GeneralProgenyLaw(200.3, 0.5)
+        full = _unstopped_range(law, 20_000)[1].tolist()
+        assert full.count(0.0) == 17_395
+        read = []
+
+        def counted(*args):
+            for block in _ladder_upto(*args):
+                read.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(branching, "_ladder_upto", counted)
+        assert general_progeny_pmf_range(law, 20_000) == full
+        assert sum(read) < 20_000
 
     def test_mass_when_tail_is_negligible(self):
         # c = 5 decays like ell^(-4.5); past 4000 the remainder is ~1e-13.

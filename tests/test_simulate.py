@@ -243,6 +243,14 @@ class TestAgainstAnalyticLaw:
         with pytest.raises(InsufficientData):
             gof_compare(sim, LAW)
 
+    @pytest.mark.parametrize("bins", [2.5, 0, math.nan])
+    def test_gof_names_a_bad_bin_count(self, bins):
+        # A fractional count used to reach progeny_pmf_range, whose error
+        # named lmax.
+        sim = SimCounts(counts={1: 10}, censored=0, replicates=10, seed=0, progeny_cap=100)
+        with pytest.raises(DomainError, match="^bins must be an integer >= 1$"):
+            gof_compare(sim, LAW, bins=bins)
+
     def test_threshold_monotone(self):
         assert chi_square_threshold(10) < chi_square_threshold(20)
         assert chi_square_threshold(10, 0.99) < chi_square_threshold(10, 0.999)

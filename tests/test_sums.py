@@ -554,6 +554,38 @@ class TestLetacSum:
                     assert a == pytest.approx(b, rel=1e-10)
 
 
+def _mp_letac(z, c, x):
+    """(z/(1-z)) 2F1(1/2, 1; c; x/(1-z)^2) at 40 digits, at the floats'
+    exact values."""
+    with mp.workdps(40):
+        zm = mp.mpf(z)
+        return zm / (1 - zm) * mp_hyp2f1(0.5, 1, c, mp.mpf(x) / (1 - zm) ** 2, dps=40)
+
+
+class TestLetacAccuracy:
+    def test_slow_sum_gets_the_fitted_tail(self):
+        # Term ratio 1 - 3e-5: the direct route reaches its cap of 10^5
+        # and adds sum_direct's fitted tail instead of raising.
+        z, c, x = (1.0 - math.sqrt(0.5)) * (1.0 - 3e-5), 1.7, 0.5
+        d = letac_sum(z, c, x, method="direct", max_terms=10**5)
+        cl = letac_sum(z, c, x)
+        assert d.terms_used == 10**5 + 1
+        assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
+        assert abs(d.value - _mp_letac(z, c, x)) <= d.abs_error_estimate <= 1e-10 * d.value
+
+    def test_estimate_bounds_error_on_a_seeded_grid(self):
+        # z in [0.01, 0.95], c in [0.3, 8] and 1 - x/(1-z)^2 from 1e-3 to
+        # 1, log-uniform, so that many points sit next to x = (1-z)^2.
+        rng = random.Random(26)
+        for _ in range(67):
+            z, c = rng.uniform(0.01, 0.95), rng.uniform(0.3, 8.0)
+            x = (1.0 - z) ** 2 * (1.0 - 10.0 ** rng.uniform(-3.0, 0.0))
+            ref = _mp_letac(z, c, x)
+            for method in ("closed", "direct"):
+                r = letac_sum(z, c, x, method=method)
+                assert abs(r.value - ref) <= r.abs_error_estimate, (z, c, x, method)
+
+
 class TestNormalizationIdentity:
     def test_unity_across_x(self):
         for x in (-1.0, -0.4, 0.0, 0.37, 0.9, 1.0):
@@ -577,12 +609,12 @@ class TestLadderSum:
     LW = math.log1p(-X) - math.log1p(ETA)
 
     @staticmethod
-    def _check(c, x, lw, shift, tol, n):
+    def _check(c, x, lw, tol, n):
         # Only np.exp's last bit differs, term by term: the running sums
         # stay within (terms read) eps sum|t| of the loop's, and
-        # sum (k + shift)|t| within (terms read) eps of itself.
-        got = _ladder_sum(c, x, lw, shift, tol, n)
-        ref = ref_ladder_sum(c, x, lw, shift, tol, n)
+        # sum k|t| within (terms read) eps of itself.
+        got = _ladder_sum(c, x, lw, tol, n)
+        ref = ref_ladder_sum(c, x, lw, tol, n)
         assert got[3:5] == ref[3:5]
         bound = ref[3] * 2.2e-16 * ref[1]
         assert abs(got[0] - ref[0]) <= bound
@@ -615,7 +647,7 @@ class TestLadderSum:
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
     def test_stop_around_the_loop_block_switch(self, offset):
         k = self._edges()[0] + offset
-        got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+        got = self._check(self.C, self.X, self.LW, self._tol_for_stop(k), 10**5)
         assert got[3:5] == (k + 1, True)
 
     def test_stop_around_every_list_edge(self):
@@ -623,14 +655,13 @@ class TestLadderSum:
         # the next, which carry two and one small terms across the edge.
         for e in self._list_edges():
             for k in (e - 1, e, e + 1):
-                got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+                got = self._check(self.C, self.X, self.LW, self._tol_for_stop(k), 10**5)
                 assert got[3:5] == (k + 1, True)
 
     def test_term_cap_around_every_list_edge(self):
         for e in self._list_edges():
             for n in (e - 1, e, e + 1):
-                assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:5] == (n, False)
-                assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:5] == (n, False)
+                assert self._check(self.C, self.X, self.LW, 0.0, n)[3:5] == (n, False)
 
     @pytest.mark.parametrize("eta,c,x,n", [(0.5, 1.0, 0.5, 501), (0.3, 2.0, 0.5, 900),
                                            (0.01, 60.0, -1.0, 1050)])
@@ -641,7 +672,7 @@ class TestLadderSum:
         # passes 709 at k = 1,038.
         p = SumParams(eta, c, x)
         lw = math.log1p(-x) - math.log1p(eta)
-        got = self._check(c, x, lw, 0, 1e-14, n)
+        got = self._check(c, x, lw, 1e-14, n)
         assert got[3:5] == (n, False)
         r = sum_direct(p, max_terms=n - 1, override_divergence=True)
         assert (r.value, r.terms_used) == (got[0], n)
@@ -650,19 +681,18 @@ class TestLadderSum:
     def test_small_count_carries_across_a_block_edge(self, offset):
         # One or two of the three small terms sit in the block before.
         k = self._edges()[1] + offset
-        got = self._check(self.C, self.X, self.LW, 0, self._tol_for_stop(k), 10**5)
+        got = self._check(self.C, self.X, self.LW, self._tol_for_stop(k), 10**5)
         assert got[3:5] == (k + 1, True)
 
     def test_term_cap_inside_a_block(self):
         n = self._edges()[1] + 100
-        assert self._check(self.C, self.X, self.LW, 0, 0.0, n)[3:5] == (n, False)
-        assert self._check(self.C, self.X, self.LW, 1, 0.0, n)[3:5] == (n, False)
+        assert self._check(self.C, self.X, self.LW, 0.0, n)[3:5] == (n, False)
 
     def test_direct_routes_at_a_cap_inside_a_block(self):
         # (0.43, 2, 0.16) stops by tol at 1,073 terms.
         n = self._edges()[0] + 50
         p = SumParams(0.43, 2.0, 0.16)
-        assert not ref_ladder_sum(p.c, p.x, math.log1p(-p.x) - math.log1p(p.eta), 0, 1e-14, n)[4]
+        assert not ref_ladder_sum(p.c, p.x, math.log1p(-p.x) - math.log1p(p.eta), 1e-14, n)[4]
         with pytest.raises(SlowConvergence):
             sum_direct(p, max_terms=n - 1)
         r = sum_direct(SumParams(0.7, 2.0, 0.49), max_terms=n - 1)
@@ -672,24 +702,32 @@ class TestLadderSum:
         # Divergent (0.3, 2, 0.5): log t_k passes 709 near k = 2,600.
         p = SumParams(0.3, 2.0, 0.5)
         lw = math.log1p(-p.x) - math.log1p(p.eta)
-        got = _ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
-        ref = ref_ladder_sum(p.c, p.x, lw, 0, 1e-14, 3001)
+        got = _ladder_sum(p.c, p.x, lw, 1e-14, 3001)
+        ref = ref_ladder_sum(p.c, p.x, lw, 1e-14, 3001)
         assert got[3:5] == ref[3:5] == (3001, False)
         assert got[0] == ref[0] == math.inf and got[1] == ref[1] == math.inf
         r = sum_direct(p, max_terms=3000, override_divergence=True)
         assert r.value == math.inf and r.terms_used == 3001
 
-    @pytest.mark.parametrize("z,c,x", [(0.5, 2.5, 0.24), (0.5, 2.5, 0.2499), (0.3, 0.8, 0.48),
-                                       (0.6, 4.1, 0.155), (0.2, 1.7, 0.63), (0.4, 0.6, 0.355)])
+    # The variant sums by the count of terms z^k G_(k-1) up to the third
+    # in a row under 1e-14.
+    LETAC_TERMS = {(0.5, 2.5, 0.24): 953, (0.5, 2.5, 0.2499): 54_209, (0.3, 0.8, 0.48): 1227,
+                   (0.6, 4.1, 0.155): 1120, (0.2, 1.7, 0.63): 721, (0.4, 0.6, 0.355): 2945}
+
+    @pytest.mark.parametrize("z,c,x", LETAC_TERMS)
     def test_letac_direct_against_closed(self, z, c, x):
         # x near (1 - z)^2: the terms fall slowly and the sums run past
-        # the loop phase's first coefficient block (721 to 54,209 terms).
+        # the loop phase's first coefficient block. The direct route reads
+        # them as z times S's terms at eta' = (1-x-z)/z, whose weight is
+        # z, under tol 1e-14/z.
+        terms = self.LETAC_TERMS[z, c, x]
         d = letac_sum(z, c, x, method="direct")
-        ref = ref_ladder_sum(c, x, math.log(z), 1, 1e-14, 10**5)
-        assert ref[4] and d.terms_used == ref[3] > 2 * _LOOP_COEFFS
+        lw = math.log1p(-x) - math.log1p((1.0 - x - z) / z)
+        ref = ref_ladder_sum(c, x, lw, 1e-14 / z, 10**5)
+        assert ref[4] and d.terms_used == ref[3] == terms > 2 * _LOOP_COEFFS
         cl = letac_sum(z, c, x)
         assert abs(d.value - cl.value) <= d.abs_error_estimate + cl.abs_error_estimate
-        self._check(c, x, math.log(z), 1, 1e-14, 10**5)
+        self._check(c, x, lw, 1e-14 / z, 10**5)
 
 
 def _long_direct(x, c, terms, tol=1e-14):
@@ -710,8 +748,9 @@ def _long_letac(x, c, terms, tol=1e-14):
 
 def _long_grid(seed):
     """Seeded direct sums planned to run 300 to 20,000 terms: sum_direct at
-    x of both signs and at x = 0, and letac_sum's direct route. Each item
-    is (route args, c, x, lw, shift, log scale of the error floor)."""
+    x of both signs and at x = 0, and letac_sum's direct route, which sums
+    S at eta' = (1-x-z)/z under tol/z. Each item is (route args, c, x, lw,
+    tol, log scale of the error floor)."""
     rng = random.Random(seed)
     out = []
     while len(out) < 24:
@@ -728,11 +767,12 @@ def _long_grid(seed):
         if not verdict.convergent or verdict.on_boundary:
             continue
         l1x, l1e = math.log1p(-x), math.log1p(eta)
-        out.append((p, c, x, l1x - l1e, 0, abs(l1x) + l1e))
+        out.append((p, c, x, l1x - l1e, 1e-14, abs(l1x) + l1e))
     while len(out) < 36:
         x, c = rng.uniform(0.01, 0.8), rng.uniform(0.6, 5.0)
         z = _long_letac(x, c, math.exp(rng.uniform(math.log(300), math.log(20_000))))
-        out.append(((z, c, x), c, x, math.log(z), 1, abs(math.log(z))))
+        l1x, l1e = math.log1p(-x), math.log1p((1.0 - x - z) / z)
+        out.append(((z, c, x), c, x, l1x - l1e, 1e-14 / z, abs(l1x) + l1e))
     return out
 
 
@@ -742,14 +782,14 @@ class TestPlannedLadder:
 
     def test_planned_and_unplanned_reads_agree(self):
         long_ones = 0
-        for args, c, x, lw, shift, log_scale in _long_grid(21):
-            expect = _expected_terms(_large_k_profile(c, x), lw, shift, 1e-14)
+        for args, c, x, lw, tol, log_scale in _long_grid(21):
+            expect = _expected_terms(_large_k_profile(c, x), lw, tol)
             assert expect is not None and expect > _PLANNED_FROM + 16, args
-            got = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1, None, expect)
-            ref = _ladder_sum(c, x, lw, shift, 1e-14, 10**5 + 1)
+            got = _ladder_sum(c, x, lw, tol, 10**5 + 1, None, expect)
+            ref = _ladder_sum(c, x, lw, tol, 10**5 + 1)
             assert got[3:5] == ref[3:5] and ref[4], args
             assert abs(got[0] - ref[0]) <= _error_floor(ref[1], ref[5], log_scale), args
-            if shift:
+            if type(args) is tuple:
                 d, cl = letac_sum(*args, method="direct"), letac_sum(*args)
             else:
                 d, cl = sum_direct(args), sum_closed(args)
@@ -774,7 +814,7 @@ class TestPlannedLadder:
             used = sum_direct(p).terms_used
             if used >= 300:
                 lw = math.log1p(-p.x) - math.log1p(p.eta)
-                expect = _expected_terms(_large_k_profile(p.c, p.x), lw, 0, 1e-14)
+                expect = _expected_terms(_large_k_profile(p.c, p.x), lw, 1e-14)
                 ratios.append(expect / used if expect is not None else math.inf)
         assert len(ratios) >= 80
         assert sum(0.9 <= r <= 1.3 for r in ratios) >= 0.95 * len(ratios)
@@ -820,9 +860,9 @@ class TestPlannedLadder:
         # ladder still hands the reader the term _TAIL_BLOCK before the cap.
         seen = []
 
-        def spy(c, x, lw, shift, tol, n, mark=None, expect=None):
-            got = _ladder_sum(c, x, lw, shift, tol, n, mark, expect)
-            seen.append((expect, got, _ladder_sum(c, x, lw, shift, tol, n, mark)))
+        def spy(c, x, lw, tol, n, mark=None, expect=None):
+            got = _ladder_sum(c, x, lw, tol, n, mark, expect)
+            seen.append((expect, got, _ladder_sum(c, x, lw, tol, n, mark)))
             return got
 
         monkeypatch.setattr(sums, "_ladder_sum", spy)
