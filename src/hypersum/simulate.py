@@ -84,14 +84,14 @@ class DualOffspringSampler:
         self._pmf_last = p[n]
 
     def sample_many(self, us):
-        """Offspring counts for uniform draws us in [0, 1); a draw past an
-        exhausted table gets its last index."""
-        import numpy as np
-
-        while not self._exhausted and np.max(us, initial=0.0) >= self._cdf[-1]:
+        """Offspring counts for an array us of uniforms in [0, 1). Only a
+        draw past an exhausted table can pass its last index, and gets it."""
+        while not self._exhausted and us.max(initial=0.0) >= self._cdf[-1]:
             self._grow(len(self._cdf))
-        idx = np.searchsorted(self._cdf, us, side="right")
-        return np.minimum(idx, len(self._cdf) - 1, out=idx)
+        idx = self._cdf.searchsorted(us, side="right")
+        if self._exhausted:
+            idx.clip(max=len(self._cdf) - 1, out=idx)
+        return idx
 
 
 # Replicates per stream block. Part of the reproducibility contract: a
@@ -101,9 +101,8 @@ _BLOCK = 2 ** 14
 
 def _block_stream(seed, block):
     # Counter word 3 carries the block index: disjoint 2^192-draw streams
-    # per block, independent of scheduling. numpy.random is imported here,
-    # as numpy is in each function that computes with it, not with the
-    # package: most processes never draw.
+    # per block, independent of scheduling. numpy.random is imported where
+    # it draws, not with the package: most processes never draw.
     from numpy.random import Generator, Philox
     return Generator(Philox(key=seed, counter=[0, 0, 0, block]))
 
@@ -111,22 +110,24 @@ def _block_stream(seed, block):
 def _run_block(sampler, rng, n, cap):
     """Totals of n replicates, each started from one particle.
 
-    Every round steps all live replicates one generation with a single
-    draw of uniforms, taken in replicate order. A replicate stops when
-    it dies out or its total reaches cap at the end of a generation.
+    Every round steps the live replicates, and only them, one generation
+    with a single draw of uniforms in replicate order. A replicate stops
+    when it dies out or its total reaches cap at the end of a generation.
     """
     import numpy as np
 
-    total = np.ones(n, dtype=np.int64)
-    live = np.arange(n)
-    alive = np.ones(n, dtype=np.int64)
+    births = sampler.sample_many(rng.random(n))
+    total = births + 1
+    live = ((births > 0) & (total < cap)).nonzero()[0]
+    tot, births = total[live], births[live]
     while live.size:
         # A replicate's draws are contiguous; reduceat sums them exactly.
-        ks = sampler.sample_many(rng.random(int(alive.sum())))
-        births = np.add.reduceat(ks, np.cumsum(alive) - alive)
-        total[live] += births
-        keep = (births > 0) & (total[live] < cap)
-        live, alive = live[keep], births[keep]
+        ks = sampler.sample_many(rng.random(int(births.sum())))
+        births = np.add.reduceat(ks, births.cumsum() - births)
+        tot += births
+        total[live] = tot
+        keep = ((births > 0) & (tot < cap)).nonzero()[0]
+        live, tot, births = live[keep], tot[keep], births[keep]
     return total
 
 
@@ -181,8 +182,7 @@ def simulate_total_progeny(d, cfg):
         import multiprocessing
         with multiprocessing.Pool(len(ranges)) as pool:
             parts = pool.starmap(_run_blocks, ranges)
-        counts = {}
-        censored = 0
+        counts, censored = {}, 0
         for c, z in parts:
             censored += z
             for k, v in c.items():

@@ -394,6 +394,7 @@ class TestImportSurface:
         (("hyp2f1", "--a", "0.5", "--b", "1", "--c", "2", "--x", "nan"), 2),
         (("progeny", "pgf", "--lambda", "0.6", "--z", "0.5"), 0),
         (("progeny", "pgf", "--lambda", "0.6", "--z", "12"), 0),
+        (("verify", "--suite", "functional-eq"), 0),
     ])
     def test_plain_python_routes_and_error_paths_load_no_numpy(self, argv, rc):
         got, mods = _loaded_after(_main(*argv))

@@ -31,7 +31,7 @@ from hypersum.simulate import (
     gof_compare,
     simulate_total_progeny,
 )
-from hypersum.simulate import _BLOCK, _block_stream
+from hypersum.simulate import _BLOCK, _block_stream, _run_block
 
 OFFSPRING = ScaledSibuya(0.5, 0.6)
 LAW = ProgenyHalfLaw(0.6)
@@ -118,6 +118,38 @@ class TestSampler:
         assert abs(f1 - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
 
 
+def _assert_frozen(alpha, lam, seed, n, cap, censored, ell123, distinct, top, digest):
+    sim = simulate_total_progeny(ScaledSibuya(alpha, lam),
+                                 SimConfig(seed=seed, replicates=n, progeny_cap=cap))
+    items = sorted(sim.counts.items())
+    assert sim.censored == censored
+    assert [sim.counts.get(ell, 0) for ell in (1, 2, 3)] == ell123
+    assert len(items) == distinct
+    assert items[-1][0] == top
+    assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
+
+
+def _plain_block_totals(cdf, rng, n, cap):
+    """_run_block's contract in plain Python. Each round takes one draw of
+    uniforms, one per particle of every live replicate, in replicate
+    order; a particle's offspring count is the number of CDF entries at or
+    below its uniform, at most the table's last index. A replicate stops
+    when it dies out or its total reaches cap."""
+    last = len(cdf) - 1
+    totals = [1] * n
+    particles = dict.fromkeys(range(n), 1)  # live replicate -> particles
+    while particles:
+        us = iter(rng.random(sum(particles.values())).tolist())
+        nxt = {}
+        for r, m in particles.items():
+            births = sum(min(bisect.bisect_right(cdf, next(us)), last) for _ in range(m))
+            totals[r] += births
+            if births and totals[r] < cap:
+                nxt[r] = births
+        particles = nxt
+    return totals
+
+
 class TestReproducibility:
     def test_same_seed_same_counts(self):
         cfg = SimConfig(seed=314, replicates=5000)
@@ -142,14 +174,40 @@ class TestReproducibility:
         # distinct totals, the largest total and a SHA-256 prefix of
         # repr(sorted(counts.items())). Any change to the sampler table,
         # the stream layout or the block stepping shows here.
-        sim = simulate_total_progeny(ScaledSibuya(alpha, lam),
-                                     SimConfig(seed=seed, replicates=n, progeny_cap=100_000))
-        items = sorted(sim.counts.items())
-        assert sim.censored == 0
-        assert [sim.counts.get(ell, 0) for ell in (1, 2, 3)] == ell123
-        assert len(items) == distinct
-        assert items[-1][0] == top
-        assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == digest
+        _assert_frozen(alpha, lam, seed, n, 100_000, 0, ell123, distinct, top, digest)
+
+    @pytest.mark.parametrize("alpha, lam, seed, n, cap, censored, ell123, distinct, top, digest", [
+        # The table is exhausted at 23 entries, where its increments stop
+        # moving the CDF.
+        (0.5, 0.9, 11, 20_000, 100_000, 0, [10535, 4745, 2170], 19, 20, "8f5c5f0f6069d2e8"),
+        (0.5, 0.6, 2019, 20_000, 8, 603, [12504, 3703, 1478], 7, 7, "9123c353a6adcf51"),
+        (0.9, 0.6, 5, 20_000, 1000, 21, [8111, 4353, 2434], 250, 984, "5cb2dc9da2b85cb1"),
+    ])
+    def test_frozen_censored_and_exhausted_outputs(self, alpha, lam, seed, n, cap, censored,
+                                                   ell123, distinct, top, digest):
+        # test_frozen_seeded_outputs' record, plus the censored number, at
+        # small caps and on an exhausted table.
+        _assert_frozen(alpha, lam, seed, n, cap, censored, ell123, distinct, top, digest)
+
+    @pytest.mark.parametrize("alpha, lam, seed, n, cap, shows", [
+        (0.5, 0.6, 1, _BLOCK, 100_000, "full block"),
+        (0.5, 0.05, 3, 3001, 100_000, "growth"),
+        (0.5, 0.9, 11, 3001, 100_000, "exhaustion"),
+        (0.5, 0.6, 2019, 3001, 8, "censoring"),
+        (0.9, 0.6, 5, 3001, 1000, "censoring"),
+    ])
+    def test_block_totals_match_plain_stepping(self, alpha, lam, seed, n, cap, shows):
+        # Every replicate's total, and the number of uniforms drawn, against
+        # the contract stepped one particle at a time.
+        sampler = DualOffspringSampler(ScaledSibuya(alpha, lam))
+        rng, ref_rng = _block_stream(seed, 0), _block_stream(seed, 0)
+        totals = _run_block(sampler, rng, n, cap).tolist()
+        # The table only grows before a draw is inverted, so its final
+        # state inverts every draw of the run.
+        assert totals == _plain_block_totals(sampler._cdf.tolist(), ref_rng, n, cap)
+        assert rng.random() == ref_rng.random()
+        assert {"full block": n == _BLOCK, "growth": len(sampler._cdf) > 65,
+                "exhaustion": sampler._exhausted, "censoring": max(totals) >= cap}[shows]
 
     def test_worker_count_is_invisible(self):
         one = simulate_total_progeny(OFFSPRING, SimConfig(seed=77, replicates=20_000, workers=1))

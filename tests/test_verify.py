@@ -3,9 +3,10 @@
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from hypersum.verify import _hurwitz_zeta
+from hypersum.verify import _HALF_ROUTE_ZS, _hurwitz_zeta
 
 
 @pytest.mark.parametrize("q", [1501, 4001, 10001, 10**6])
@@ -16,3 +17,9 @@ def test_hurwitz_zeta_matches_mpmath(q):
         with mp.workdps(40):
             ref = mp.zeta(mp.mpf(s), q)
         assert abs(_hurwitz_zeta(s, q) - ref) <= 1e-14 * ref, (s, q)
+
+
+def test_half_route_grid_is_the_numpy_grid_bit_for_bit():
+    # functional-eq once drew this grid from np.linspace; its plain-Python
+    # form must not move a point.
+    assert _HALF_ROUTE_ZS == np.linspace(0.05, 1.0, 20).tolist()
