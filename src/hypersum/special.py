@@ -731,9 +731,9 @@ def _seed_depth(c):
     return m
 
 
-def _ladder(c, x, n=None, width=None, expect=None):
+def _ladder(c, x, n, width=None, expect=None):
     """Yield blocks of G_k for consecutive k, starting at k = 0, up to at
-    least k = n-1 (without end for n = None).
+    least k = n-1.
 
     A block is (frac, exp), with G_k = frac * 2**exp: frac a float array
     with |frac| in [1/2, 1) (0 at an exact zero), exp an integer array.
@@ -788,8 +788,7 @@ def _ladder(c, x, n=None, width=None, expect=None):
     expect = expect or 0
     if expect - k0 > _PLANNED_FROM:
         end = k0
-    if n is not None:
-        end = min(end, n)
+    end = min(end, n)
     size = _LOOP_COEFFS
     while k0 < end:
         w = min(size, end - k0)
@@ -802,10 +801,10 @@ def _ladder(c, x, n=None, width=None, expect=None):
         k0 += w
         size = _LADDER_MAX_BLOCK
     size = _CHUNKED_FROM
-    while n is None or k0 < n:
+    while k0 < n:
         planned = expect - k0 > _PLANNED_FROM
         step = min(expect - k0, _LADDER_MAX_BLOCK) if planned else size
-        w = step if n is None else min(step, n - k0)
+        w = min(step, n - k0)
         L = _chunk_width(step)
         while (block := _chunked_block(k0, L, 2 * -(-w // (2 * L)), c, x, chains)) is None:
             if L == 2:

@@ -192,7 +192,7 @@ def _expected_terms(profile, lw, tol):
     return int(math.exp(u)) + 4
 
 
-def _ladder_sum(c, x, lw, tol, n, mark=None, expect=None):
+def _ladder_sum(c, x, lw, tol, n, expect=None):
     """Running sum of t_k = G_k exp(k lw) over ladder indices k = 0..n-1
     of special._ladder, stopping once three terms in a row have |t| < tol
     with k > 2.
@@ -208,15 +208,13 @@ def _ladder_sum(c, x, lw, tol, n, mark=None, expect=None):
     exponent passes 709. The (frac, exp) arrays of the chunk transfers go
     through _block_sum, where a term whose log passes 709 counts as
     infinite (0 where G_k is 0). Returns (s, sum|t|, last term, terms read,
-    stopped, sum k|t|, t_mark), t_mark being the term of index ``mark``
-    when a chunked block holds it (None otherwise).
+    stopped, sum k|t|).
     """
     s = 0.0
     sum_abs = 0.0
     mom = 0.0
     small = 0
     t = 0.0
-    t_mark = None
     k = 0
     exp = math.exp
     for vals, e in _ladder(c, x, n, _READ_LIST, expect):
@@ -238,23 +236,20 @@ def _ladder_sum(c, x, lw, tol, n, mark=None, expect=None):
                 if a < tol:
                     small += 1
                     if small >= 3 and k > 3:
-                        return s, sum_abs, t, k, True, mom, t_mark
+                        return s, sum_abs, t, k, True, mom
                 else:
                     small = 0
         else:
             m = min(len(vals), n - k)
-            if mark is not None and k <= mark < k + m:
-                j = mark - k
-                t_mark = _far_term(float(vals[j]), mark * lw + int(e[j]) * _LN2)
             s, sum_abs, mom, t, used, small = _block_sum(vals[:m], e[:m], k, lw, tol,
                                                          s, sum_abs, mom, small)
             k += used
             if small == 3:
-                return s, sum_abs, t, k, True, mom, t_mark
+                return s, sum_abs, t, k, True, mom
             # Let the block go before the ladder forms the next one.
             del vals, e
         if k == n:
-            return s, sum_abs, t, k, False, mom, t_mark
+            return s, sum_abs, t, k, False, mom
 
 
 def _first(flags):
@@ -310,37 +305,37 @@ def _block_sum(frac, exp, k, lw, tol, s, sum_abs, mom, small):
 
 
 # sum_direct's fitted tail: only for caps of at least _TAIL_FROM terms,
-# where the 1/k fit of the large-k profile holds, fitted to the last term
-# and the one _TAIL_BLOCK places before it, and summed in blocks of
-# _TAIL_BLOCK terms, at most _TAIL_MAX_TERMS of them.
+# where the 1/k fit of the large-k profile holds, fitted to the last term,
+# and summed in blocks of _TAIL_BLOCK terms, at most _TAIL_MAX_TERMS of
+# them.
 _TAIL_FROM = 10_000
 _TAIL_BLOCK = 2048
 _TAIL_MAX_TERMS = 1 << 22
 
 
-def _fitted_tail(beta, lr, K, t_K, t_J):
+def _fitted_tail(profile, lr, K, t_K):
     """(tail, its estimate, sum k|t| over it) of a convergent direct sum
     with 0 < x < 1 cut after index K, or None where the fit does not apply.
 
     For 0 < x < 1 the terms follow the large-k profile
-    t_k ~ C k^beta r^k e^(d/k), beta = 1/2 - c and log r = lr = b + log w,
-    beta and b from special._large_k_profile. d comes from
-    log t_k - beta log k - k log r = a + d/k at k = K and at
-    J = K - _TAIL_BLOCK; then
+    t_k ~ e^a k^beta r^k e^(d/k), beta = 1/2 - c and log r = lr = b + log w,
+    (a, beta, b) being ``profile``, from special._large_k_profile. d comes
+    from the last term against the profile's amplitude:
+    d = K (log t_K - a - beta log K - K lr), which is the 1/k coefficient
+    up to O(1/K). Then
     tail = t_K sum_{j>=1} r^j (1 + j/K)^beta e^(d (1/(K+j) - 1/K)),
     summed in blocks until its terms fall under 1e-17 of it, and its
     estimate is |tail - the same sum with d = 0|.
     """
     import numpy as np
 
-    J = K - _TAIL_BLOCK
-    if t_J is None or not (math.isfinite(t_K) and math.isfinite(t_J)) or t_K * t_J <= 0.0:
+    a, beta, _ = profile
+    if not 0.0 < t_K < math.inf:
         return None
     if lr * _TAIL_MAX_TERMS > -50.0:
         # r^j would not fall far enough within _TAIL_MAX_TERMS terms.
         return None
-    dL = math.log(t_K / t_J) - beta * math.log(K / J) - (K - J) * lr
-    d = -dL * (K / _TAIL_BLOCK) * J
+    d = K * (math.log(t_K) - a - beta * math.log(K) - K * lr)
     total = 0.0
     diff = 0.0
     mom = 0.0
@@ -396,12 +391,12 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     K = ``max_terms`` of at least 10,000 terms adds a fitted tail instead
     of raising (_fitted_tail): the paper's large-k profile
     t_k ~ C k^(1/2-c) r^k e^(d/k), r = (1+sqrt(x))/(1+eta), with d fitted
-    to the sum's own terms at K and 2,048 before it. Its estimate is
+    to its last term against the profile's amplitude C. Its estimate is
     |tail - tail with d = 0| plus the floor above over terms and tail. The
-    tail uses only ladder terms, r and c, nothing of the closed form. Below
-    that cap, at x <= 0 (where G_k oscillates) and where the tail would
-    need more than about 4 million terms, the sum raises
-    ``SlowConvergence``.
+    tail uses only the last ladder term and the profile, nothing of the
+    closed form. Below that cap, at x <= 0 (where G_k oscillates) and
+    where the tail would need more than about 4 million terms, the sum
+    raises ``SlowConvergence``.
 
     On a Theorem-type convergence boundary the terms decay only like
     k^(1/2-c); the sum then runs to ``max_terms`` and an integral-comparison
@@ -431,15 +426,14 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
     l1e = math.log1p(p.eta)
     fit = (verdict.convergent and not verdict.on_boundary and p.x > 0.0
            and max_terms >= _TAIL_FROM)
-    mark = max_terms - _TAIL_BLOCK if fit else None
     lw = l1x - l1e
     # The ladder's column bound comes before the profile's log Gamma(c).
     _seed_depth(p.c)
     profile = _large_k_profile(p.c, p.x)
     # Log of the terms' ratio at large k.
     lr = profile[2] + lw
-    s, sum_abs, t, used, stopped, mom, t_mark = _ladder_sum(
-        p.c, p.x, lw, tol, max_terms + 1, mark, _expected_terms(profile, lw, tol))
+    s, sum_abs, t, used, stopped, mom = _ladder_sum(
+        p.c, p.x, lw, tol, max_terms + 1, _expected_terms(profile, lw, tol))
     log_scale = abs(l1x) + l1e
     floor = _error_floor(sum_abs, mom, log_scale)
     if not stopped:
@@ -450,7 +444,7 @@ def sum_direct(p, tol=DEFAULT_TOL, max_terms=None, override_divergence=False):
             tail = last * max_terms / (p.c - 1.5)
             return EvalResult(value=s, abs_error_estimate=tail + floor,
                               terms_used=max_terms + 1, method=Method.Series)
-        tail = _fitted_tail(profile[1], lr, max_terms, t, t_mark) if fit else None
+        tail = _fitted_tail(profile, lr, max_terms, t) if fit else None
         if tail is not None:
             tail, est, tail_mom = tail
             floor = _error_floor(sum_abs + abs(tail), mom + tail_mom, log_scale)
@@ -576,8 +570,6 @@ def sum_closed(p):
         raise DomainError("closed form needs xi = x/X^2 <= 1, got %g" % xi)
     s = _conj_root(eta, x) / (x + eta) if xi < 1.0 else 0.0
     if s == 0.0:
-        if c <= 1.5:
-            raise DomainError("xi = 1 requires c > 3/2")
         xi = 1.0
     inner = hyp2f1_half_one(c, xi, _s=s)
     v = _finite(inner.value / arg.X, p)

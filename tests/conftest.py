@@ -208,7 +208,7 @@ def ref_ladder_sum(c, x, lw, tol, n):
     small = 0
     t = 0.0
     k = 0
-    for vals, e in _ladder(c, x, None, _READ_LIST):
+    for vals, e in _ladder(c, x, n + 1, _READ_LIST):
         is_list = type(vals) is list
         if is_list:
             exps = [e[j % 2] for j in range(len(vals))]

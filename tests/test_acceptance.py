@@ -149,7 +149,7 @@ def test_criterion_8_monte_carlo():
     r = montecarlo_suite(replicates=1_000_000, seed=42, workers=1)
     line = _record(8, r["pass"],
                    "1e6 replicates: chi2 %.2f < %.2f (0.999 quantile, dof %d), "
-                   "max |z| %.2f <= 4, workers identical: %s, %.0f s (limit 300 s)"
+                   "max |z| %.2f <= 4, workers identical: %s, %.2f s (limit 300 s)"
                    % (r["chi_square"], r["threshold_0999"], r["dof"],
                       r["max_abs_z"], r["workers_identical"], r["seconds"]))
     assert r["pass"], line

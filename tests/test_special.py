@@ -618,6 +618,22 @@ class TestLargeK:
         assert b == pytest.approx(float(want_b), rel=1e-14, abs=0)
         assert a == pytest.approx(float(want_a), rel=1e-14, abs=0)
 
+    def test_amplitude_leaves_a_one_over_k_residual(self):
+        # sums._fitted_tail takes d in e^(d/k) from one term against the
+        # profile's amplitude, d = K (log G_K - a - beta log K - b K). That
+        # is d1 + O(1/K), d1 = (c-1/2)(c-3/2)(2 sqrt x - 1)/(2 sqrt x), if
+        # the residual falls tenfold per decade of K; at K = 1e5 the
+        # float floor is a few 1e-6.
+        rng = random.Random(7)
+        for _ in range(8):
+            c, x = rng.uniform(0.3, 8.0), rng.uniform(0.02, 0.95)
+            logs, _ = hyp2f1_ladder(c, x, 10**5)
+            a, beta, b = _large_k_profile(c, x)
+            d1 = (c - 0.5) * (c - 1.5) * (2.0 * math.sqrt(x) - 1.0) / (2.0 * math.sqrt(x))
+            e = [K * (logs[K] - a - beta * math.log(K) - b * K) - d1 for K in (10**3, 10**4, 10**5)]
+            assert abs(e[1]) <= 0.12 * abs(e[0]) + 1e-5, (c, x, e)
+            assert abs(e[2]) <= 0.12 * abs(e[1]) + 1e-5, (c, x, e)
+
     def test_log_magnitude_at_negative_x(self):
         ae = hyp2f1_large_k(200, 3.0, -0.5)
         assert 0.0 < abs(ae.approx) < math.inf

@@ -40,7 +40,6 @@ from hypersum.sums import (
     _expected_terms,
     _ladder_sum,
     _READ_LIST,
-    _TAIL_BLOCK,
     _TAIL_FROM,
 )
 
@@ -304,10 +303,10 @@ class TestCappedBoundary:
 
     @pytest.mark.parametrize("cap", [_TAIL_FROM, 14_000, 20_000])
     def test_direct_tail_at_small_caps(self, cap):
-        # Next to the tail's index floor. At the first triple and cap
+        # Next to the tail's index floor. At CAPPED_BOUNDARY[0] and cap
         # 10,000 the tail is 9% of the sum; without the fitted d it is
-        # off by 2.5e-6 of the sum, with it by 9.5e-10, which is still
-        # 40 times the rounding and drift floor.
+        # off by 2.5e-6 of the sum, with it by 7.6e-10, which is still
+        # 32 times the rounding and drift floor.
         for t in ((0.501, 2.0, 0.25), CAPPED_BOUNDARY[0], CAPPED_BOUNDARY[5]):
             p = SumParams(*t)
             r = sum_direct(p, max_terms=cap)
@@ -785,7 +784,7 @@ class TestPlannedLadder:
         for args, c, x, lw, tol, log_scale in _long_grid(21):
             expect = _expected_terms(_large_k_profile(c, x), lw, tol)
             assert expect is not None and expect > _PLANNED_FROM + 16, args
-            got = _ladder_sum(c, x, lw, tol, 10**5 + 1, None, expect)
+            got = _ladder_sum(c, x, lw, tol, 10**5 + 1, expect)
             ref = _ladder_sum(c, x, lw, tol, 10**5 + 1)
             assert got[3:5] == ref[3:5] and ref[4], args
             assert abs(got[0] - ref[0]) <= _error_floor(ref[1], ref[5], log_scale), args
@@ -822,7 +821,7 @@ class TestPlannedLadder:
     def test_both_direct_routes_pass_the_plan(self, monkeypatch):
         seen = []
 
-        def spy(c, x, n=None, width=None, expect=None):
+        def spy(c, x, n, width=None, expect=None):
             seen.append(expect)
             return _ladder(c, x, n, width, expect)
 
@@ -839,7 +838,7 @@ class TestPlannedLadder:
         c, x = 2.5, 0.3
         k0 = max(4, math.ceil(c + 1.5) + 1) + 2
         for expect in (k0 + _PLANNED_FROM + 1, 3000, 40_000):
-            blocks = _ladder(c, x, None, _READ_LIST, expect)
+            blocks = _ladder(c, x, 10**6, _READ_LIST, expect)
             seeds, _ = next(blocks)
             assert type(seeds) is list and len(seeds) == k0
             k = k0
@@ -851,32 +850,9 @@ class TestPlannedLadder:
             assert k - expect < _LADDER_MAX_BLOCK
             assert len(next(blocks)[0]) >= _CHUNKED_FROM
         # Too close to the seeds: the loop phase's lists, as without a plan.
-        blocks = _ladder(c, x, None, _READ_LIST, k0 + _PLANNED_FROM)
+        blocks = _ladder(c, x, 10**6, _READ_LIST, k0 + _PLANNED_FROM)
         next(blocks)
         assert type(next(blocks)[0]) is list
-
-    def test_capped_sum_reads_its_tail_mark(self, monkeypatch):
-        # A fitted-tail sum at caps of 10,000 terms or more: the planned
-        # ladder still hands the reader the term _TAIL_BLOCK before the cap.
-        seen = []
-
-        def spy(c, x, lw, tol, n, mark=None, expect=None):
-            got = _ladder_sum(c, x, lw, tol, n, mark, expect)
-            seen.append((expect, got, _ladder_sum(c, x, lw, tol, n, mark)))
-            return got
-
-        monkeypatch.setattr(sums, "_ladder_sum", spy)
-        p = SumParams(*CAPPED_BOUNDARY[0])
-        for cap in (_TAIL_FROM, 12_345):
-            r = sum_direct(p, max_terms=cap)
-            assert r.terms_used == cap + 1
-            expect, got, ref = seen[-1]
-            assert expect is not None and expect > cap
-            assert got[4] is False and got[6] is not None
-            assert got[6] == pytest.approx(ref[6], rel=1e-9)
-            lw = math.log1p(-p.x) - math.log1p(p.eta)
-            mark = cap - _TAIL_BLOCK
-            assert abs(got[6]) == pytest.approx(_terms(p.c, p.x, lw, mark + 1)[mark], rel=1e-9)
 
 
 class TestTermRatio:
