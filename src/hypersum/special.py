@@ -6,7 +6,6 @@ Everything here is a pure function of its arguments; no global mutable state.
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergent
@@ -35,27 +34,20 @@ _LN2 = math.log(2.0)
 
 
 def default_max_terms():
-    """Global term cap, overridable through HYPERSUM_MAX_TERMS, which must
-    be a whole number >= 1 (DomainError otherwise).
+    """The term cap of a caller that leaves max_terms unset: the constant
+    DEFAULT_MAX_TERMS (100,000).
 
     The k-ladder's seed series (_ladder_seeds) do not follow it: they have
     their own cap of _SEED_MAX_TERMS = 200,000 terms.
     """
-    raw = os.environ.get("HYPERSUM_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = float(raw)
-    except ValueError:
-        cap = math.nan
-    return _whole(cap, 1, "HYPERSUM_MAX_TERMS")
+    return DEFAULT_MAX_TERMS
 
 
 def _term_cap(max_terms):
-    """A caller's term cap: the global cap for None, else max_terms as an
+    """A caller's term cap: DEFAULT_MAX_TERMS for None, else max_terms as an
     int if it is a whole number >= 1 (DomainError otherwise)."""
     if max_terms is None:
-        return default_max_terms()
+        return DEFAULT_MAX_TERMS
     return _whole(max_terms, 1, "max_terms")
 
 
@@ -217,7 +209,7 @@ def hyp2f1_series(p, tol=DEFAULT_TOL, max_terms=None):
         fall below tol times the partial sum (two, so that odd/even
         cancellation for negative arguments cannot truncate early).
     max_terms : int, optional
-        Term cap; defaults to the global cap (HYPERSUM_MAX_TERMS).
+        Term cap; defaults to DEFAULT_MAX_TERMS (100,000).
 
     Returns
     -------
@@ -505,10 +497,10 @@ def _step_coeffs(a, c, x, gap=False):
 _LOOP_STEPS = 992
 _CHUNKED_FROM = 1024
 _LADDER_MAX_BLOCK = 16384
+# The loop phase's first coefficient block. A direct sum expected to end
+# within it reads the loop phase; a longer one costs less as planned
+# chunked blocks, read in numpy, than stepped and summed in the loop.
 _LOOP_COEFFS = 256
-# A planned stretch longer than this costs less as one chunked block, read
-# in numpy, than stepped and summed in the loop.
-_PLANNED_FROM = 256
 
 
 def _rescale(f, f1):
@@ -761,7 +753,7 @@ def _ladder(c, x, n, width=None, expect=None):
     are.
     ``expect`` is private to sum_direct's reader (sums._ladder_sum), which
     predicts from the large-k profile how many values it will read. When
-    it lies more than _PLANNED_FROM steps past the seeds, the loop phase is
+    it lies more than _LOOP_COEFFS steps past the seeds, the loop phase is
     skipped: each chunked block is sized to reach ``expect`` (at most
     _LADDER_MAX_BLOCK steps), and past it the blocks go on from
     _CHUNKED_FROM, doubling, as without it. The planned blocks' values
@@ -786,7 +778,7 @@ def _ladder(c, x, n, width=None, expect=None):
     end = k0 + _LOOP_STEPS
     # 0: no plan.
     expect = expect or 0
-    if expect - k0 > _PLANNED_FROM:
+    if expect - k0 > _LOOP_COEFFS:
         end = k0
     end = min(end, n)
     size = _LOOP_COEFFS
@@ -802,7 +794,7 @@ def _ladder(c, x, n, width=None, expect=None):
         size = _LADDER_MAX_BLOCK
     size = _CHUNKED_FROM
     while k0 < n:
-        planned = expect - k0 > _PLANNED_FROM
+        planned = expect - k0 > _LOOP_COEFFS
         step = min(expect - k0, _LADDER_MAX_BLOCK) if planned else size
         w = min(step, n - k0)
         L = _chunk_width(step)

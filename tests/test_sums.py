@@ -18,7 +18,6 @@ from hypersum.special import (
     _CHUNKED_FROM,
     _LADDER_MAX_BLOCK,
     _LOOP_COEFFS,
-    _PLANNED_FROM,
     Method,
     _ladder,
     _ladder_upto,
@@ -783,7 +782,7 @@ class TestPlannedLadder:
         long_ones = 0
         for args, c, x, lw, tol, log_scale in _long_grid(21):
             expect = _expected_terms(_large_k_profile(c, x), lw, tol)
-            assert expect is not None and expect > _PLANNED_FROM + 16, args
+            assert expect is not None and expect > _LOOP_COEFFS + 16, args
             got = _ladder_sum(c, x, lw, tol, 10**5 + 1, expect)
             ref = _ladder_sum(c, x, lw, tol, 10**5 + 1)
             assert got[3:5] == ref[3:5] and ref[4], args
@@ -830,14 +829,14 @@ class TestPlannedLadder:
         (p, *_), (z_args, *_) = grid[1], grid[-1]
         sum_direct(p)
         letac_sum(*z_args, method="direct")
-        assert len(seen) == 2 and all(e is not None and e > _PLANNED_FROM for e in seen)
+        assert len(seen) == 2 and all(e is not None and e > _LOOP_COEFFS for e in seen)
 
     def test_planned_blocks(self):
         # Seeds, then one chunked block that reaches expect; past it the
         # blocks go on from _CHUNKED_FROM, doubling.
         c, x = 2.5, 0.3
         k0 = max(4, math.ceil(c + 1.5) + 1) + 2
-        for expect in (k0 + _PLANNED_FROM + 1, 3000, 40_000):
+        for expect in (k0 + _LOOP_COEFFS + 1, 3000, 40_000):
             blocks = _ladder(c, x, 10**6, _READ_LIST, expect)
             seeds, _ = next(blocks)
             assert type(seeds) is list and len(seeds) == k0
@@ -850,7 +849,7 @@ class TestPlannedLadder:
             assert k - expect < _LADDER_MAX_BLOCK
             assert len(next(blocks)[0]) >= _CHUNKED_FROM
         # Too close to the seeds: the loop phase's lists, as without a plan.
-        blocks = _ladder(c, x, 10**6, _READ_LIST, k0 + _PLANNED_FROM)
+        blocks = _ladder(c, x, 10**6, _READ_LIST, k0 + _LOOP_COEFFS)
         next(blocks)
         assert type(next(blocks)[0]) is list
 
