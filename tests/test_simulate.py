@@ -107,6 +107,46 @@ class TestSampler:
         singles = [bisect.bisect_right(cdf, u) for u in us]
         assert list(s.sample_many(us)) == singles
 
+    @pytest.mark.parametrize("alpha, lam", [(0.5, 0.6), (0.9, 0.6), (0.5, 0.9)])
+    def test_guide_matches_binary_search(self, alpha, lam):
+        # The guide table must find searchsorted's index for every draw, on
+        # the table as it stands after the call: at each bucket edge j/1024
+        # and the float below it, at each table entry and both its float
+        # neighbours, at 0, and on 1e5 stream uniforms. (0.5, 0.9) exhausts
+        # its table at 23 entries, so its draws past it take the last index.
+        # Only (0.5, 0.6) sees nextafter(1, 0), as a neighbour of its entry
+        # 1.0: at a heavy law that one draw can grow the table to hundreds
+        # of millions of entries.
+        s = DualOffspringSampler(ScaledSibuya(alpha, lam))
+        edges = np.arange(1024) / 1024
+        cdf = s._cdf
+        us = np.concatenate((edges, np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0),
+                             np.nextafter(cdf, 2.0), [0.0], _block_stream(5, 0).random(100_000)))
+        us = us[us <= 1.0]
+        got = s.sample_many(us)
+        want = s._cdf.searchsorted(us, side="right")
+        if s._exhausted:
+            want.clip(max=len(s._cdf) - 1, out=want)
+        assert got.tolist() == want.tolist()
+        if (alpha, lam) == (0.5, 0.9):
+            assert s._exhausted and len(s._cdf) == 23
+
+    def test_exact_path_edges(self):
+        # Growth inside one call, decided from the draws the guide did not
+        # settle, ends on the table and the indices of growing first.
+        us = np.concatenate((_block_stream(3, 0).random(1000), [0.999]))
+        s = DualOffspringSampler(ScaledSibuya(0.5, 0.05))
+        got = s.sample_many(us)
+        ref = DualOffspringSampler(ScaledSibuya(0.5, 0.05))
+        while us.max() >= ref._cdf[-1]:
+            ref._grow(len(ref._cdf))
+        assert len(s._cdf) == len(ref._cdf) > 65
+        assert got.tolist() == ref._cdf.searchsorted(us, side="right").tolist()
+        empty = s.sample_many(np.array([]))
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
+        s = DualOffspringSampler(ScaledSibuya(0.5, 0.9))
+        assert s.sample_many(np.array([1.0])).tolist() == [len(s._cdf) - 1]
+
     def test_frequencies(self):
         # 2e5 draws: p0 = 0.625, p1 = 0.3, margins at 4 sigma.
         s = DualOffspringSampler(OFFSPRING)
