@@ -5,8 +5,8 @@ Two routes to the same sum
 S(eta, c; x) can be summed term by term, or collapsed to a single
 hypergeometric evaluation. The two paths share no code, so their agreement
 is a real check. This script prints both values over a small parameter
-sweep, then visits the x < -eta region where only the elementary closed
-forms continue.
+sweep, then visits the x < -eta region, where the closed route's series in
+z gives the analytic continuation (for c in {1, 2, 3}).
 """
 
 from hypersum import SumParams, sum_closed, sum_direct
@@ -25,13 +25,13 @@ for eta, c, x in [
     rel = abs(a.value - b.value) / abs(b.value)
     print("%8.2f %6.2f %7.2f  %22.15e %22.15e %10.2e" % (eta, c, x, a.value, b.value, rel))
 
-# Below x = -eta the naive closed form would pick the wrong square-root
-# branch. For c in {1, 2, 3} the elementary expressions continue cleanly;
-# the result object says so via its `continuation` flag.
+# Below x = -eta the naive 2F1(1/2, 1; c; xi)/X would pick the wrong
+# square-root branch. The closed route's series in z continues cleanly
+# through x = -eta; the result object says so via its `continuation` flag.
 print()
 p = SumParams(0.4, 2.0, -0.8)
 a = sum_direct(p)
 b = sum_closed(p)
 print("continuation at (eta, c, x) = (0.4, 2, -0.8):")
 print("  direct series   %.15f" % a.value)
-print("  elementary form %.15f   continuation=%s" % (b.value, b.continuation))
+print("  closed form     %.15f   continuation=%s" % (b.value, b.continuation))

@@ -15,8 +15,9 @@ phase (up to its first 992 steps), which hands out plain floats in lists
 of 32 and steps only as far as they are read, and in numpy over the
 chunked blocks after it. A longer one skips the loop phase: the ladder
 steps one chunked block sized to reach the predicted end, read in numpy.
-The closed form routes through 2F1(1/2, 1; c; xi) with xi = x/X^2,
-X = (x+eta)/(1+eta). The two paths share no evaluation code, so they can
+The closed form 2F1(1/2, 1; c; xi)/X, xi = x/X^2, X = (x+eta)/(1+eta), is
+one series of the closed family per regime: 2F1(1, 2c-2; c; z) at x <= 0,
+hyp2f1_half_one at x > 0. The two paths share no evaluation code, so they
 check each other.
 """
 
@@ -24,16 +25,18 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotConvergent, SlowConvergence
+from .errors import DomainError, NonConvergent, NotConvergent, SlowConvergence
 from .special import (
     _LN2,
     _ROUNDING,
+    DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     EvalResult,
     Method,
     _ladder,
     _large_k_profile,
     _seed_depth,
+    _series_sum,
     _term_cap,
     hyp2f1_half_one,
 )
@@ -111,7 +114,8 @@ def convergence_check(p):
     For 0 < x < 1 the series converges iff eta > sqrt(x) (strict for
     c <= 3/2, non-strict above); for x < 0 the bound is sqrt(1+|x|) - 1;
     x = 0 always converges; at x = 1 only c > 3/2 survives (every k >= 1
-    term carries a vanishing weight). Total function, raises nothing.
+    term carries a vanishing weight). On a boundary means within 1e-12 of
+    it, relative. Total function, raises nothing.
     """
     if p.x == 0.0:
         return ConvergenceVerdict(True, False, Reason.Interior)
@@ -125,9 +129,10 @@ def convergence_check(p):
         bound = math.sqrt(p.x)
         divergent_reason = Reason.DivergentPositiveX
     else:
-        bound = math.sqrt(1.0 + abs(p.x)) - 1.0
+        # sqrt(1 - x) - 1 without its cancellation at small |x|.
+        bound = -p.x / (math.sqrt(1.0 - p.x) + 1.0)
         divergent_reason = Reason.DivergentNegativeX
-    if abs(p.eta - bound) <= _BOUNDARY_RTOL * max(bound, 1.0):
+    if abs(p.eta - bound) <= _BOUNDARY_RTOL * bound:
         return ConvergenceVerdict(p.c > 1.5, True, Reason.BoundaryNeedsLargeC)
     if p.eta > bound:
         return ConvergenceVerdict(True, False, Reason.Interior)
@@ -189,7 +194,8 @@ def _expected_terms(profile, lw, tol):
     for _ in range(4):
         e = d * math.exp(u)
         u -= (e + beta * u - rhs) / (e + beta)
-    return int(math.exp(u)) + 4
+    # Past double range (d near the smallest double) the iterate is NaN.
+    return int(math.exp(u)) + 4 if math.isfinite(u) else None
 
 
 def _ladder_sum(c, x, lw, tol, n, expect=None):
@@ -494,12 +500,9 @@ def _conj_root(eta, x):
 
 
 def _special_value(c, eta, x):
-    """Elementary S for c in {1,2,3}, conjugate-root form.
-
-    With R = _conj_root(eta, x), this expression is, at x < -eta, the
-    analytic continuation with the correct square-root branch. Regular at
-    x = 0 and at R = 0 (the eta = sqrt(x) boundary) by construction.
-    """
+    """Elementary S for c in {1,2,3} in conjugate-root form, R =
+    _conj_root(eta, x): regular at x = 0 and at R = 0 (the eta = sqrt(x)
+    boundary), and the analytic continuation's branch at x < -eta."""
     R = _conj_root(eta, x)
     if c == 1.0:
         return (1.0 + eta) / R
@@ -517,65 +520,62 @@ def _finite(v, p):
 
 
 def sum_closed(p):
-    """S(eta, c; x) through the one-function closed form.
+    """S(eta, c; x) through the paper's closed form 2F1(1/2, 1; c; xi)/X,
+    xi = x/X^2, X = (x+eta)/(1+eta), with R = _conj_root(eta, x).
 
-    Builds X = (x+eta)/(1+eta) and xi = x/X^2 and evaluates
-    2F1(1/2, 1; c; xi)/X by hyp2f1_half_one (its quadratic-transformation
-    series, or 1/s at c = 1), with s = sqrt(1-xi) taken from (eta, x) as
-    s = sqrt((1-x)(eta^2-x))/(x+eta), since 1 - xi = (1-x)(eta^2-x)/(x+eta)^2.
-    Near xi = 1, next to the eta = sqrt(x) boundary, 1 - xi cancels in
-    the rounded xi: at (0.98958, 0.47498, 0.97902) an s taken from xi put
-    the value 1.7e-10 (relative) off 40-digit mpmath, against 4.2e-12 from
-    (eta, x). Three special regimes:
+    * x <= 0: S = (1+eta)/R 2F1(1, 2c-2; c; z) by A&S 15.3.19 and one
+      Pfaff step (DLMF 15.8.1), z = -x (1+eta)^2/(2RD) in [0, 0.86),
+      D = eta + x + R; z = 1/2 at x = -eta. z is formed as
+      -x ((1+eta)/R) ((1+eta)/(2D)): nothing cancels, eta is not squared.
+      One series (special._series_sum), of at most about 250 terms (about
+      11 sqrt(c) at x = -eta). At x < -eta it is the analytic continuation
+      (``continuation=True``, divergent points too), for c in {1, 2, 3}
+      only; other c raise ``DomainError``.
+    * x > 0: hyp2f1_half_one(c, xi) with s = sqrt(1-xi) = R/(x+eta): an s
+      from the rounded xi put (0.98958, 0.47498, 0.97902), next to the
+      eta = sqrt(x) boundary, 1.7e-10 off 40-digit mpmath, against 4.2e-12.
+      At xi = 1 (x = 1, x = eta^2, or eta just below sqrt(x) but on the
+      boundary by convergence_check) the Gauss value, c > 3/2 only.
 
-    * x = -eta (X = 0): the finite limit Gamma(c)/Gamma(c-1/2) sqrt(pi/eta),
-      formed as exp of a math.lgamma difference (c > 1/2, so neither
-      argument is at a pole of Gamma). Each lgamma's absolute rounding
-      becomes relative error, so the estimate is
-      eps (8 + 2(|lgamma(c)| + |lgamma(c-1/2)|)) of the value.
-    * x < -eta (X < 0, only reachable for eta < 1): the naive 1/X route
-      picks the wrong square-root branch, so the elementary c in {1,2,3}
-      continuations are returned with ``continuation=True``; other c raise.
-    * xi = 1 (x = 1 or x = eta^2, or eta on the boundary by
-      convergence_check, just below sqrt(x)): the unit-argument Gauss
-      value, c > 3/2 only.
-
-    A value past the largest double (eta below about 1e-308) raises
-    ``OverflowError``.
+    The estimate is the series' (twice it for z) times the prefactor, plus
+    4 eps of the value. A value past double range raises ``OverflowError``.
     """
     eta, c, x = p.eta, p.c, p.x
-    arg = ClosedFormArgument.from_params(p)
-    if x == -eta or abs(x + eta) <= 4e-16 * (abs(x) + eta):
-        if c <= 0.5:
-            raise DomainError("x = -eta limit needs c > 1/2")
-        lc, lh = math.lgamma(c), math.lgamma(c - 0.5)
-        v = _finite(math.exp(lc - lh) * math.sqrt(math.pi / eta), p)
-        est = v * 2.2e-16 * (8.0 + 2.0 * (abs(lc) + abs(lh)))
-        return EvalResult(value=v, abs_error_estimate=est,
-                          terms_used=0, method=Method.ClosedForm)
-    if arg.X < 0.0:
-        if c in (1.0, 2.0, 3.0):
-            v = _finite(_special_value(c, eta, x), p)
-            return EvalResult(value=v, abs_error_estimate=8.0 * abs(v) * 2.2e-16,
-                              terms_used=0, method=Method.ClosedForm, continuation=True)
-        raise DomainError(
-            "x < -eta continuation is only available in elementary form (c in {1,2,3})")
-    xi = arg.xi
-    # x = eta^2 puts xi at 1 exactly in real arithmetic, but the float
-    # quotient lands a couple ulp to either side; treat that as 1. So is an
-    # eta that convergence_check puts on the boundary from below.
-    if abs(xi - 1.0) <= 4e-16 or (xi > 1.0 and c > 1.5 and convergence_check(p).on_boundary):
-        xi = 1.0
-    if xi > 1.0:
-        raise DomainError("closed form needs xi = x/X^2 <= 1, got %g" % xi)
-    s = _conj_root(eta, x) / (x + eta) if xi < 1.0 else 0.0
-    if s == 0.0:
-        xi = 1.0
-    inner = hyp2f1_half_one(c, xi, _s=s)
-    v = _finite(inner.value / arg.X, p)
-    est = inner.abs_error_estimate / arg.X + 4.0 * abs(v) * 2.2e-16
-    return EvalResult(value=v, abs_error_estimate=est,
-                      terms_used=inner.terms_used, method=inner.method)
+    if x <= 0.0:
+        if x + eta < 0.0 and c not in (1.0, 2.0, 3.0):
+            # The z-series answers here too. It waits for ROADMAP item 1: the
+            # benchmark reads this refusal as auto's fallback to the direct sum.
+            raise DomainError("x < -eta continuation is only available for c in {1,2,3}")
+        # Past eta = 1e300 the k >= 1 terms of S weigh under 2e-300, so S
+        # does not move in double precision, and eta + x + R stays in range.
+        eta = min(eta, 1e300)
+        R = _conj_root(eta, x)
+        pref = _finite((1.0 + eta) / R, p)
+        z = -x * pref * ((1.0 + eta) / (2.0 * (eta + x + R)))
+        f, tail, used, ok = _series_sum(1.0, 2.0 * c - 2.0, c, z, DEFAULT_TOL, DEFAULT_MAX_TERMS)
+        if not ok:
+            raise NonConvergent("z-series of S hit the %d-term cap" % DEFAULT_MAX_TERMS)
+        v = _finite(pref * f, p)
+        # z is 17 roundings deep (10 eps off, measured): twice the drift term's 4 eps.
+        est, method = 2.0 * pref * tail, Method.Series
+    else:
+        arg = ClosedFormArgument.from_params(p)
+        xi = arg.xi
+        # xi is 1 at x = eta^2, give or take an ulp or two of the quotient,
+        # and for an eta that convergence_check puts on the boundary from below.
+        if abs(xi - 1.0) <= 4e-16 or (xi > 1.0 and c > 1.5 and convergence_check(p).on_boundary):
+            xi = 1.0
+        if xi > 1.0:
+            raise DomainError("closed form needs xi = x/X^2 <= 1, got %g" % xi)
+        s = _conj_root(eta, x) / (x + eta) if xi < 1.0 else 0.0
+        if s == 0.0:
+            xi = 1.0
+        inner = hyp2f1_half_one(c, xi, _s=s)
+        v = _finite(inner.value / arg.X, p)
+        est = inner.abs_error_estimate / arg.X
+        used, method = inner.terms_used, inner.method
+    return EvalResult(value=v, abs_error_estimate=est + 4.0 * abs(v) * 2.2e-16,
+                      terms_used=used, method=method, continuation=x + p.eta < 0.0)
 
 
 def sum_special(p):
@@ -633,9 +633,9 @@ def letac_sum(z, c, x, method="closed", tol=DEFAULT_TOL, max_terms=None):
     x < (1-z)^2 is eta' > sqrt(x). The direct route is
     z sum_direct(SumParams(eta', c, x), tol/z, max_terms): its block plan,
     stop rule, error estimate and, at caps of at least 10,000, fitted
-    tail. It reads at most max_terms + 1 terms (k = 1..max_terms + 1);
-    where eta' rounds onto S's boundary (1 - z - sqrt(x) under about
-    5e-13 z) sum_direct's boundary rules apply, and a z below about
+    tail. It reads at most max_terms + 1 terms (k = 1..max_terms + 1).
+    sum_direct's boundary rules apply where eta' is on S's boundary, i.e.
+    1 - z - sqrt(x) <= 1e-12 z sqrt(x)/(1 + sqrt(x)); a z below about
     5.6e-309, where eta' leaves double range, raises DomainError. Both
     methods pass tol and max_terms on, and a max_terms that is not a whole
     number >= 1 raises DomainError on either.

@@ -5,10 +5,6 @@ and records the hypersum functions it calls. For every pair of routes that
 a verify suite, an acceptance criterion or the benchmark compares, the two
 call sets may meet only in an explicit allowlist of argument checks and
 result constructors.
-
-sum_closed at X < 0 with c in {1, 2, 3} returns sum_special's own
-_special_value. No suite, criterion or benchmark compares that pair, so it
-is not checked here.
 """
 
 import math
@@ -75,7 +71,7 @@ def _sum_inputs(seed, cs):
     """(eta, c, x) per regime, each inside the convergence region, c drawn
     from cs (a list) or, for None, from [0.3, 6): x < 0 with
     X = (x + eta)/(1 + eta) > 0, x = 0 and x > 0, and for a list of c also
-    x < 0 with X < 0, which only the elementary forms reach."""
+    x < 0 with X < 0, where the closed route answers only for those c."""
     rng = random.Random(seed)
 
     def c():
@@ -99,7 +95,8 @@ class TestSumRoutes:
             p = SumParams(*t)
             d, cl = _calls(sum_direct, p), _calls(sum_closed, p)
             assert special._ladder.__code__ in d, t
-            assert special.hyp2f1_half_one.__code__ in cl, t
+            closed_series = special.hyp2f1_half_one if t[2] > 0.0 else special._series_sum
+            assert closed_series.__code__ in cl, t
             _assert_share_only(d, cl, _DIRECT_CLOSED, "sum_direct and sum_closed at %r" % (t,))
 
     def test_direct_with_fitted_tail_and_closed(self):
@@ -110,6 +107,15 @@ class TestSumRoutes:
         assert sums._fitted_tail.__code__ in d
         _assert_share_only(d, _calls(sum_closed, p), _DIRECT_CLOSED,
                            "sum_direct's fitted tail and sum_closed")
+
+    def test_closed_and_special(self):
+        # The conjugate root R (with its exact square of eta at x > 0) and
+        # the range check; the series and the elementary forms stay apart.
+        allowed = _RESULT | _codes(sums._conj_root, sums._two_square, sums._finite)
+        for t in _sum_inputs(47, [1.0, 2.0, 3.0]):
+            p = SumParams(*t)
+            cl, sp = _calls(sum_closed, p), _calls(sum_special, p)
+            _assert_share_only(cl, sp, allowed, "sum_closed and sum_special at %r" % (t,))
 
     def test_special_and_direct(self):
         allowed = _RESULT | _codes(convergence_check, ConvergenceVerdict.__init__)

@@ -93,6 +93,20 @@ class TestConvergenceCheck:
         assert not off.on_boundary
         assert off.convergent and off.reason is Reason.Interior
 
+    @pytest.mark.parametrize("t", [(5e-13, 1.2, 1e-30), (5e-13, 2.5, 1e-30),
+                                   (3e-13, 2.0, -1e-20)])
+    def test_boundary_tolerance_is_relative_at_small_bounds(self, t):
+        # eta is 500 times sqrt(x), and 6e7 times sqrt(1 - x) - 1 = 5e-21.
+        # An absolute 1e-12 put both on the boundary (the x < 0 bound also
+        # rounded to 0): the first "diverged", the others returned
+        # 100,001 +- 1e5 against S = 2.0e12 and 1.99e10. The terms fall by
+        # under 1e-12 a step, so the direct sum cannot settle.
+        p = SumParams(*t)
+        v = convergence_check(p)
+        assert v.convergent and not v.on_boundary and v.reason is Reason.Interior
+        with pytest.raises(SlowConvergence):
+            sum_direct(p)
+
     def test_negative_x_threshold(self):
         bound = math.sqrt(1.9) - 1.0
         assert convergence_check(SumParams(0.4, 2.0, -0.9)).convergent
@@ -351,8 +365,12 @@ class TestSumClosed:
             evaluate(p)
         with pytest.raises(OverflowError):
             sum_special(p)
-        with pytest.raises(OverflowError):
-            sum_closed(SumParams(1e-310, 2.0, -1e-310))
+        # At x = -eta, S = Gamma(c)/Gamma(c - 1/2) sqrt(pi/eta) = 2e155 is
+        # in range: the z-series answers as the elementary form does.
+        p = SumParams(1e-310, 2.0, -1e-310)
+        r = sum_closed(p)
+        assert r.value == pytest.approx(2.0000000000000030551e155, rel=1e-14)
+        assert r.value == pytest.approx(sum_special(p).value, rel=1e-14)
 
     def test_continuation_past_minus_eta(self):
         # x < -eta flips the sign of X; the elementary branch carries on.
@@ -367,12 +385,59 @@ class TestSumClosed:
             sum_closed(SumParams(0.4, 2.5, -0.8))
 
     def test_limit_at_minus_eta(self):
-        # Gamma(c)/Gamma(c - 1/2) sqrt(pi/eta) at 40 digits
-        r = sum_closed(SumParams(0.6, 1.4, -0.6))
-        assert r.value == pytest.approx(1.8998759620325243942, rel=1e-13)
-        assert r.method is Method.ClosedForm
-        with pytest.raises(DomainError):
-            sum_closed(SumParams(0.6, 0.4, -0.6))
+        # Gamma(c)/Gamma(c - 1/2) sqrt(pi/eta) at 30 digits: the z-series
+        # at z = 1/2, c <= 1/2 included.
+        for c, want in ((1.4, 1.8998759620325243124), (0.4, -0.47496899050813098283)):
+            r = sum_closed(SumParams(0.6, c, -0.6))
+            assert r.value == pytest.approx(want, rel=1e-13)
+            assert abs(r.value - want) <= r.abs_error_estimate
+            assert r.method is Method.Series and not r.continuation
+
+    def test_z_series_on_nonpositive_x_within_estimate(self):
+        # x <= 0 against 40-digit mpmath, c log-uniform in [0.3, 50]: at
+        # x > -eta the closed form 2F1(1/2, 1; c; x/X^2)/X, at x = -eta
+        # Gauss's second theorem Gamma(c)/Gamma(c - 1/2) sqrt(pi/eta), and
+        # at x < -eta, c in {1, 2, 3}, the elementary continuation, also
+        # where the sum diverges.
+        rng = random.Random(2026)
+        divergent = 0
+        with mp.workdps(40):
+            for i in range(600):
+                x = -rng.uniform(1e-3, 1.0)
+                c = math.exp(rng.uniform(math.log(0.3), math.log(50.0)))
+                if i % 3 == 0:
+                    eta = -x * (1.0 + 10.0 ** rng.uniform(-8.0, 3.0))
+                elif i % 3 == 1:
+                    eta = -x
+                else:
+                    c = rng.choice((1.0, 2.0, 3.0))
+                    eta = -x * rng.uniform(0.01, 0.999)
+                    divergent += not convergence_check(SumParams(eta, c, x)).convergent
+                r = sum_closed(SumParams(eta, c, x))
+                e, xm = mp.mpf(eta), mp.mpf(x)
+                X = (xm + e) / (1 + e)
+                if X > 0:
+                    ref = mp.hyp2f1(0.5, 1, c, xm / X ** 2) / X
+                elif X == 0:
+                    ref = mp.sqrt(mp.pi / e) * mp.gamma(c) * mp.rgamma(mp.mpf(c) - 0.5)
+                else:
+                    R = mp.sqrt((1 - xm) * (e ** 2 - xm))
+                    D = e + xm + R
+                    ref = {1.0: (1 + e) / R, 2.0: 2 * (1 + e) / D,
+                           3.0: mp.mpf(4) / 3 * (1 + e) / D * (D + R) / D}[c]
+                assert r.continuation == (X < 0), (eta, c, x)
+                assert r.terms_used <= 250 and r.method is Method.Series
+                assert abs(r.value - ref) <= r.abs_error_estimate <= 1e-12 * abs(ref), (eta, c, x)
+        assert divergent > 50
+
+    @pytest.mark.parametrize("eta", [1e300, 1e308, 1.7e308])
+    def test_huge_eta_on_nonpositive_x(self, eta):
+        # S = 2F1(1/2, 1; c; x) + O(1/eta); eta + x + R passes the largest
+        # double from eta = 7.4e307 on.
+        for c in (0.7, 2.5, 9.0):
+            for x in (-1.0, -0.3, 0.0):
+                r = sum_closed(SumParams(eta, c, x))
+                assert abs(r.value - mp.hyp2f1(0.5, 1, c, x)) <= r.abs_error_estimate, (c, x)
 
     def test_xi_above_one_rejected(self):
         with pytest.raises(DomainError):
@@ -406,9 +471,10 @@ class TestSumClosed:
 
     def test_unit_and_minus_eta_estimates_hold_at_large_c(self):
         # The Gauss point of hyp2f1_half_one and sum_direct at x = 1, and
-        # sum_closed's limit at x = -eta, against 40-digit mpmath for c
-        # log-uniform up to 1e6. An exp of lgamma differences of size
-        # c log c once put these values 1e2-1e4 estimates off.
+        # sum_closed at x = -eta (its z-series at z = 1/2, about 11 sqrt(c)
+        # terms), against 40-digit mpmath for c log-uniform up to 1e6. An
+        # exp of lgamma differences of size c log c once put these values
+        # 1e2-1e4 estimates off.
         rng = random.Random(3141)
         with mp.workdps(40):
             for _ in range(200):

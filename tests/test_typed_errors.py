@@ -1,6 +1,6 @@
 """Non-finite, underflowing and oversized inputs get a typed answer: a
-DomainError or NonConvergent, or a value that checks out, never nan, 0.0
-from a wrong branch or a bare arithmetic exception."""
+DomainError, NonConvergent or SlowConvergence, or a value that checks out,
+never nan, 0.0 from a wrong branch or a bare arithmetic exception."""
 
 import math
 import re
@@ -17,7 +17,7 @@ from hypersum.branching import (
     progeny_pgf_hypergeometric,
     sibuya_pmf,
 )
-from hypersum.errors import DomainError, NonConvergent
+from hypersum.errors import DomainError, NonConvergent, SlowConvergence
 from hypersum.special import (
     _LADDER_MAX_COLUMNS,
     HypParams,
@@ -52,6 +52,10 @@ CASES = {
     "h_alpha_pgf(0.5, 0.3; 1e-200)": (lambda: _pgf_checks(0.5, 0.3, 1e-200), None),
     "h_alpha_pgf(0.9, 0.2; 1e-40)": (lambda: _pgf_checks(0.9, 0.2, 1e-40), None),
     "h_alpha_pgf(0.999, 0.9; 0.5)": (lambda: _pgf_checks(0.999, 0.9, 0.5), None),
+    # rhs/d passed double range in _expected_terms: its Newton iterate
+    # turned NaN, and int() raised ValueError.
+    "sum_direct(1e-310, 2, -1e-311)": (
+        lambda: sum_direct(SumParams(1e-310, 2.0, -1e-311)), SlowConvergence),
     # A bad term cap raised TypeError or reported "the -1-term cap".
     "sum_direct(max_terms=-3)": (
         lambda: sum_direct(SumParams(2.0, 2.5, 0.5), max_terms=-3), DomainError),
